@@ -1,6 +1,7 @@
 // Microbenchmarks of the privacy mechanisms (google-benchmark):
 // the complexity claims of Sec. III-C/D — Alg. 2 enumerates O(c^D) leaves,
-// Alg. 3 walks O(D) — plus the planar Laplace baseline sampler, the
+// Alg. 3 walks O(D) — plus the per-report RNG fork and the sequential
+// stream it must not slow down, the planar Laplace baseline sampler, the
 // code-native samplers (walk-vs-inverse-CDF and path-vs-code rows pair up
 // by identical depth/arity counters for BENCH JSON comparisons), and the
 // availability-index churn (packed insert/remove vs the LeafPath entry
@@ -312,6 +313,47 @@ void BM_IndexChurnCode(benchmark::State& state) {
   state.counters["items"] = kChurnItems;
 }
 BENCHMARK(BM_IndexChurnCode);
+
+// ------------------------------- RNG rows -----------------------------------
+// Every report draws from its own Rng::ForkAt stream, so fork + first word
+// is a per-report cost paid before the sampler runs. The audit checks that
+// 10k forks outside the timed loop never touch the heap.
+void BM_RngForkAtFirstDraw(benchmark::State& state) {
+  const Rng stream(1);
+  uint64_t index = 0;
+
+  const size_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
+  for (int i = 0; i < 10000; ++i) {
+    Rng item = stream.ForkAt(index++);
+    benchmark::DoNotOptimize(item.NextU64());
+  }
+  const size_t audit_allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  if (audit_allocs != 0) {
+    state.SkipWithError("Rng::ForkAt allocated");
+    return;
+  }
+
+  for (auto _ : state) {
+    Rng item = stream.ForkAt(index++);
+    benchmark::DoNotOptimize(item.NextU64());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["audit_allocs_per_10k"] = static_cast<double>(audit_allocs);
+}
+BENCHMARK(BM_RngForkAtFirstDraw);
+
+// The sequential mt19937_64 stream (tree builds, workload generators, the
+// server's tie-break RNG): guards that the stream-kind branch in NextU64
+// costs it nothing measurable.
+void BM_RngSequentialDraw(benchmark::State& state) {
+  Rng rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.NextU64());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngSequentialDraw);
 
 // Baseline: planar Laplace sampling (Lambert W based inverse CDF).
 void BM_PlanarLaplace(benchmark::State& state) {

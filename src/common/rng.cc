@@ -1,6 +1,7 @@
 #include "common/rng.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <sstream>
@@ -9,13 +10,17 @@ namespace tbf {
 
 namespace {
 
-// SplitMix64 finalizer; used to decorrelate seeds derived via Split().
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+// Per-stream Weyl increment (SplittableRandom's mixGamma): MurmurHash3's
+// fmix64, forced odd so the increment is invertible mod 2^64, and
+// re-spread when it has too few bit transitions to feed the finalizer well.
+uint64_t MixGamma(uint64_t z) {
+  z = (z ^ (z >> 33)) * 0xff51afd7ed558ccdULL;
+  z = (z ^ (z >> 33)) * 0xc4ceb9fe1a85ec53ULL;
+  z = (z ^ (z >> 33)) | 1;
+  return std::popcount(z ^ (z >> 1)) < 24 ? z ^ 0xaaaaaaaaaaaaaaaaULL : z;
 }
+
+constexpr char kForkTag[] = "fork";
 
 // UniformRandomBitGenerator facade over Rng::NextU64 so the std
 // distributions below consume bit-identical words to the bare engine
@@ -30,7 +35,22 @@ struct CountingBits {
 
 }  // namespace
 
-Rng::Rng(uint64_t seed) : seed_(seed), engine_(Mix(seed)) {}
+Rng::Rng(uint64_t seed)
+    : seed_(seed), engine_(std::make_unique<std::mt19937_64>(Mix(seed))) {}
+
+Rng::Rng(const Rng& other)
+    : seed_(other.seed_),
+      draws_(other.draws_),
+      fork_state_(other.fork_state_),
+      fork_gamma_(other.fork_gamma_),
+      engine_(other.engine_ != nullptr
+                  ? std::make_unique<std::mt19937_64>(*other.engine_)
+                  : nullptr) {}
+
+Rng& Rng::operator=(const Rng& other) {
+  if (this != &other) *this = Rng(other);
+  return *this;
+}
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   std::uniform_int_distribution<int64_t> dist(lo, hi);
@@ -82,26 +102,46 @@ Rng Rng::Split(uint64_t salt) { return Rng(Mix(NextU64() ^ Mix(salt))); }
 
 std::string Rng::SerializeState() const {
   std::ostringstream os;
-  os << seed_ << ' ' << engine_;
+  if (engine_ != nullptr) {
+    os << seed_ << ' ' << *engine_;
+  } else {
+    os << kForkTag << ' ' << seed_ << ' ' << fork_state_ << ' ' << fork_gamma_;
+  }
   return os.str();
 }
 
 Status Rng::RestoreState(const std::string& state) {
   std::istringstream is(state);
+  if (state.starts_with(kForkTag)) {
+    std::string tag;
+    uint64_t seed = 0, fork_state = 0, gamma = 0;
+    if (!(is >> tag >> seed >> fork_state >> gamma) || tag != kForkTag ||
+        (gamma & 1) == 0 || !(is >> std::ws).eof()) {
+      return Status::InvalidArgument("Rng::RestoreState: malformed fork token");
+    }
+    seed_ = seed;
+    fork_state_ = fork_state;
+    fork_gamma_ = gamma;
+    engine_.reset();
+    return Status::OK();
+  }
   uint64_t seed = 0;
-  std::mt19937_64 engine;
-  if (!(is >> seed >> engine)) {
+  auto engine = std::make_unique<std::mt19937_64>();
+  if (!(is >> seed >> *engine)) {
     return Status::InvalidArgument("Rng::RestoreState: malformed state token");
   }
   seed_ = seed;
-  engine_ = engine;
+  engine_ = std::move(engine);
   return Status::OK();
 }
 
 Rng Rng::ForkAt(uint64_t index) const {
   // Different mixing constant than Split so ForkAt(i) never collides with a
-  // Split(i) stream of the same parent.
-  return Rng(Mix(seed_ ^ Mix(index + 0x6a09e667f3bcc909ULL)));
+  // Split(i) stream of the same parent. The child key is a bijection of the
+  // index for a fixed parent; its start point and its gamma come from two
+  // unrelated hashes of the key.
+  const uint64_t key = Mix(seed_ ^ Mix(index + 0x6a09e667f3bcc909ULL));
+  return Rng(key, Mix(key), MixGamma(key));
 }
 
 }  // namespace tbf

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -15,14 +16,29 @@
 
 namespace tbf {
 
-/// \brief Seeded pseudo-random generator wrapping std::mt19937_64.
+/// \brief Seeded pseudo-random generator with two kinds of stream.
 ///
-/// Not thread-safe; create one Rng per thread (use Split() to derive
-/// independent streams deterministically).
+/// A sequential stream — built by Rng(seed) or Split() — is a
+/// std::mt19937_64, draw for draw. A forked stream — built by ForkAt() —
+/// is a counter-based stream of two words: its j-th word (j = 1, 2, ...) is
+/// Finalize(state0 + j * gamma) with a per-stream odd gamma, in the style of
+/// SplittableRandom. Forking costs a few hash rounds instead of seeding and
+/// twisting a 2.5 KB engine, so a per-report stream costs what its
+/// sampler costs. Distinct gammas keep two forks from ever sharing a state
+/// trajectory: their Weyl sequences can meet at a point, never at two
+/// consecutive points.
+///
+/// Not thread-safe; create one Rng per thread (use Split() or ForkAt() to
+/// derive independent streams deterministically).
 class Rng {
  public:
-  /// Constructs a generator from a 64-bit seed.
+  /// Constructs a sequential (mt19937_64) generator from a 64-bit seed.
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
+
+  Rng(const Rng& other);
+  Rng& operator=(const Rng& other);
+  Rng(Rng&&) noexcept = default;
+  Rng& operator=(Rng&&) noexcept = default;
 
   // The leaf draw primitives are defined inline: the mechanism samplers
   // spend a handful of nanoseconds per sample, and an out-of-line call per
@@ -72,21 +88,25 @@ class Rng {
   /// non-negative weights. Returns the last index if all weights are zero.
   size_t Categorical(const std::vector<double>& weights);
 
-  /// \brief Derives an independent child generator; deterministic in
-  /// (parent seed, draw count, salt).
+  /// \brief Derives an independent sequential (mt19937_64) child
+  /// generator; deterministic in (parent seed, draw count, salt).
   Rng Split(uint64_t salt = 0);
 
   /// \brief Stateless per-index child stream: deterministic in (seed,
   /// index) alone — no draws are consumed, so it is const, safe to call
   /// concurrently, and yields the same stream no matter which thread or in
   /// what order item `index` is processed. This is the determinism
-  /// foundation of the batch-parallel obfuscation pipeline.
+  /// foundation of the batch-parallel obfuscation pipeline. The child is a
+  /// counter-based stream of a few words: forking is O(1) and allocates
+  /// nothing.
   Rng ForkAt(uint64_t index) const;
 
   /// \brief Raw 64-bit draw.
   uint64_t NextU64() {
     ++draws_;
-    return engine_();
+    if (engine_ != nullptr) return (*engine_)();
+    fork_state_ += fork_gamma_;
+    return Finalize(fork_state_);
   }
 
   uint64_t seed() const { return seed_; }
@@ -104,16 +124,40 @@ class Rng {
   /// space-separated decimal token string. RestoreState round-trips it so
   /// the restored generator continues the draw sequence exactly where the
   /// serialized one left off (crash-safe replay checkpoints rely on this).
+  /// A sequential stream serializes as "<seed> <mt19937_64 state>"; a
+  /// forked stream as "fork <seed> <state> <gamma>".
   std::string SerializeState() const;
 
-  /// \brief Restores a state produced by SerializeState. On failure the
-  /// generator is left unchanged and InvalidArgument is returned.
+  /// \brief Restores a state produced by SerializeState, of either kind.
+  /// On failure the generator is left unchanged and InvalidArgument is
+  /// returned.
   Status RestoreState(const std::string& state);
 
  private:
+  // Forked stream at Weyl position `state` with odd increment `gamma`.
+  Rng(uint64_t seed, uint64_t state, uint64_t gamma)
+      : seed_(seed), fork_state_(state), fork_gamma_(gamma) {}
+
+  // SplitMix64 output finalizer (Stafford variant 13), a bijection.
+  static uint64_t Finalize(uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+
+  // One SplitMix64 step from x; decorrelates seeds derived via Split() and
+  // ForkAt().
+  static uint64_t Mix(uint64_t x) {
+    return Finalize(x + 0x9e3779b97f4a7c15ULL);
+  }
+
   uint64_t seed_;
   uint64_t draws_ = 0;
-  std::mt19937_64 engine_;
+  // Forked stream state; unused while engine_ is set.
+  uint64_t fork_state_ = 0;
+  uint64_t fork_gamma_ = 0;
+  // The sequential stream; null for a forked stream.
+  std::unique_ptr<std::mt19937_64> engine_;
 };
 
 }  // namespace tbf

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <set>
 #include <string>
 #include <thread>
@@ -314,6 +315,11 @@ TEST(ShardedServerTest, ConcurrentChurnKeepsInvariants) {
       static_cast<size_t>(kThreads));
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
+  // Every registration (relocations included) lands before any task is
+  // submitted. Without this wave barrier a relocation could land after a
+  // concurrent assignment of the same worker and become a fresh
+  // registration, a history the invariants below do not describe.
+  std::barrier registration_done(kThreads);
   for (int thread_index = 0; thread_index < kThreads; ++thread_index) {
     threads.emplace_back([&, thread_index] {
       Rng rng(1000 + static_cast<uint64_t>(thread_index));
@@ -331,6 +337,7 @@ TEST(ShardedServerTest, ConcurrentChurnKeepsInvariants) {
           ++failures;
         }
       }
+      registration_done.arrive_and_wait();
       // Mixed wave: submissions racing departures.
       for (int t = 0; t < kTasksPerThread; ++t) {
         std::string id = prefix + "t" + std::to_string(t);
