@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/atomic_file.h"
+#include "common/byte_codec.h"
 #include "common/fault.h"
 #include "hst/leaf_code.h"
 
@@ -20,128 +21,7 @@ namespace {
 constexpr char kSnapshotMagic[] = "TBFSNAP1";
 constexpr uint32_t kSnapshotVersion = 1;
 constexpr uint32_t kFlagPackedLeaves = 1u << 0;
-
-// Little-endian byte I/O. Explicit byte shuffles (not memcpy of host
-// integers) so the format is identical on every platform and bit-exact
-// for tools/check_snapshot.py.
-void PutU16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutF64(std::string* out, double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-// Bounds-checked reader over the unframed payload. Every Get* fails with
-// a precise offset instead of reading past the end.
-class PayloadReader {
- public:
-  explicit PayloadReader(const std::string& bytes) : bytes_(bytes) {}
-
-  size_t offset() const { return offset_; }
-  size_t remaining() const { return bytes_.size() - offset_; }
-
-  Status Need(size_t n, const char* what) {
-    if (remaining() < n) {
-      return Status::InvalidArgument(
-          "snapshot: truncated payload (need " + std::to_string(n) +
-          " bytes for " + what + " at offset " + std::to_string(offset_) +
-          ", have " + std::to_string(remaining()) + ")");
-    }
-    return Status::OK();
-  }
-
-  uint16_t GetU16() {
-    uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) {
-      v = static_cast<uint16_t>(v | (Byte() << (8 * i)));
-    }
-    return v;
-  }
-
-  uint32_t GetU32() {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(Byte()) << (8 * i);
-    return v;
-  }
-
-  uint64_t GetU64() {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(Byte()) << (8 * i);
-    return v;
-  }
-
-  double GetF64() {
-    const uint64_t bits = GetU64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-
-  // Raw view of the unread tail — the bulk table loads below read through
-  // it directly (offset bookkeeping stays with the caller).
-  const unsigned char* Tail() const {
-    return reinterpret_cast<const unsigned char*>(bytes_.data()) + offset_;
-  }
-
- private:
-  uint32_t Byte() {
-    return static_cast<unsigned char>(bytes_[offset_++]);
-  }
-
-  const std::string& bytes_;
-  size_t offset_ = 0;
-};
-
-// Aligned-agnostic little-endian loads for the bulk tables. On
-// little-endian hosts (every CI target) the memcpy compiles to a plain
-// load; the byte-shuffle branch keeps big-endian hosts correct.
 constexpr bool kHostLittleEndian = std::endian::native == std::endian::little;
-
-uint16_t LoadU16(const unsigned char* p) {
-  if constexpr (kHostLittleEndian) {
-    uint16_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-  } else {
-    return static_cast<uint16_t>(p[0] | (p[1] << 8));
-  }
-}
-
-uint64_t LoadU64(const unsigned char* p) {
-  if constexpr (kHostLittleEndian) {
-    uint64_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-  } else {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-    return v;
-  }
-}
-
-double LoadF64(const unsigned char* p) {
-  const uint64_t bits = LoadU64(p);
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
 
 }  // namespace
 
@@ -151,24 +31,23 @@ std::string SerializeHstSnapshot(const CompleteHst& tree) {
   std::string payload;
   payload.reserve(32 + n * (16 + (packed ? 8 : 2 * static_cast<size_t>(
                                                     tree.depth()))));
-  PutU32(&payload, kSnapshotVersion);
-  PutU32(&payload, packed ? kFlagPackedLeaves : 0);
-  PutU32(&payload, static_cast<uint32_t>(tree.depth()));
-  PutU32(&payload, static_cast<uint32_t>(tree.arity()));
-  PutF64(&payload, tree.scale());
-  PutU64(&payload, static_cast<uint64_t>(n));
+  ByteWriter w(&payload);
+  w.U32(kSnapshotVersion);
+  w.U32(packed ? kFlagPackedLeaves : 0);
+  w.U32(static_cast<uint32_t>(tree.depth()));
+  w.U32(static_cast<uint32_t>(tree.arity()));
+  w.F64(tree.scale());
+  w.U64(static_cast<uint64_t>(n));
   for (const Point& p : tree.points()) {
-    PutF64(&payload, p.x);
-    PutF64(&payload, p.y);
+    w.F64(p.x);
+    w.F64(p.y);
   }
   for (size_t i = 0; i < n; ++i) {
     if (packed) {
-      PutU64(&payload, tree.leaf_code_of_point(static_cast<int>(i)));
+      w.U64(tree.leaf_code_of_point(static_cast<int>(i)));
     } else {
       const LeafPath& leaf = tree.leaf_of_point(static_cast<int>(i));
-      for (const char16_t digit : leaf) {
-        PutU16(&payload, static_cast<uint16_t>(digit));
-      }
+      for (const char16_t digit : leaf) w.U16(static_cast<uint16_t>(digit));
     }
   }
   return FrameCrcPayload(kSnapshotMagic, payload);
@@ -177,23 +56,21 @@ std::string SerializeHstSnapshot(const CompleteHst& tree) {
 Result<CompleteHst> ParseHstSnapshot(const std::string& bytes) {
   TBF_ASSIGN_OR_RETURN(const std::string payload,
                        UnframeCrcPayload(kSnapshotMagic, bytes, "snapshot"));
-  PayloadReader reader(payload);
-  TBF_RETURN_NOT_OK(reader.Need(4 + 4 + 4 + 4 + 8 + 8, "header"));
-  const uint32_t version = reader.GetU32();
+  ByteReader reader(payload, "snapshot: truncated payload");
+  TBF_ASSIGN_OR_RETURN(const uint32_t version, reader.U32());
   if (version != kSnapshotVersion) {
     return Status::InvalidArgument(
         "snapshot: unsupported version " + std::to_string(version) +
         " (this build reads v" + std::to_string(kSnapshotVersion) + ")");
   }
-  const uint32_t flags = reader.GetU32();
+  TBF_ASSIGN_OR_RETURN(const uint32_t flags, reader.U32());
   if ((flags & ~kFlagPackedLeaves) != 0) {
     return Status::InvalidArgument("snapshot: unknown flag bits 0x" +
                                    std::to_string(flags & ~kFlagPackedLeaves));
   }
-  const int depth = static_cast<int32_t>(reader.GetU32());
-  const int arity = static_cast<int32_t>(reader.GetU32());
-  const double scale = reader.GetF64();
-  const uint64_t num_points = reader.GetU64();
+  TBF_ASSIGN_OR_RETURN(const int depth, reader.I32());
+  TBF_ASSIGN_OR_RETURN(const int arity, reader.I32());
+  TBF_ASSIGN_OR_RETURN(const double scale, reader.F64());
   if (depth < 1) {
     return Status::InvalidArgument("snapshot: depth " + std::to_string(depth) +
                                    " must be >= 1");
@@ -215,33 +92,29 @@ Result<CompleteHst> ParseHstSnapshot(const std::string& bytes) {
         (LeafCodec::Fits(depth, arity) ? " fits" : " does not fit") +
         " 64-bit codes)");
   }
-  if (num_points == 0) {
-    return Status::InvalidArgument("snapshot: empty point set");
-  }
   // Cross-check the declared count against the actual payload size before
   // any allocation: a corrupted count must not trigger a huge reserve (or
   // overflow the byte arithmetic).
-  const uint64_t leaf_bytes =
-      packed ? 8 : 2 * static_cast<uint64_t>(depth);
-  const uint64_t bytes_per_point = 16 + leaf_bytes;
-  if (num_points > reader.remaining() / bytes_per_point) {
-    return Status::InvalidArgument(
-        "snapshot: truncated payload (" + std::to_string(num_points) +
-        " points declared need " + std::to_string(bytes_per_point) +
-        " bytes each, have " + std::to_string(reader.remaining()) + ")");
+  const uint64_t bytes_per_point =
+      16 + (packed ? 8 : 2 * static_cast<uint64_t>(depth));
+  TBF_ASSIGN_OR_RETURN(const uint64_t num_points,
+                       reader.Count(bytes_per_point, "points"));
+  if (num_points == 0) {
+    return Status::InvalidArgument("snapshot: empty point set");
   }
-  TBF_RETURN_NOT_OK(
-      reader.Need(num_points * bytes_per_point, "point and leaf tables"));
-  const size_t trailing = reader.remaining() - num_points * bytes_per_point;
-  if (trailing != 0) {
-    return Status::InvalidArgument("snapshot: " + std::to_string(trailing) +
+  TBF_ASSIGN_OR_RETURN(
+      const std::string_view tables,
+      reader.Bytes(num_points * bytes_per_point, "point and leaf tables"));
+  if (!reader.AtEnd()) {
+    return Status::InvalidArgument("snapshot: " +
+                                   std::to_string(reader.remaining()) +
                                    " trailing bytes after the leaf table");
   }
   // Both tables are fully size-checked above; read them in bulk through
-  // raw pointers (the load path is the hot path — a per-byte reader here
+  // the raw view (the load path is the hot path — a per-field reader here
   // costs more than everything else in the parse combined).
-  const unsigned char* point_table = reader.Tail();
-  const unsigned char* leaf_table = point_table + num_points * 16;
+  const char* point_table = tables.data();
+  const char* leaf_table = point_table + num_points * 16;
   std::vector<Point> points(num_points);
   static_assert(sizeof(Point) == 16 && std::is_trivially_copyable_v<Point>,
                 "Point must match the snapshot's (f64 x, f64 y) layout");
@@ -249,8 +122,9 @@ Result<CompleteHst> ParseHstSnapshot(const std::string& bytes) {
     std::memcpy(points.data(), point_table, num_points * 16);
   } else {
     for (uint64_t i = 0; i < num_points; ++i) {
-      points[i].x = LoadF64(point_table + 16 * i);
-      points[i].y = LoadF64(point_table + 16 * i + 8);
+      points[i].x = std::bit_cast<double>(LoadLE<uint64_t>(point_table + 16 * i));
+      points[i].y =
+          std::bit_cast<double>(LoadLE<uint64_t>(point_table + 16 * i + 8));
     }
   }
   for (uint64_t i = 0; i < num_points; ++i) {
@@ -266,7 +140,7 @@ Result<CompleteHst> ParseHstSnapshot(const std::string& bytes) {
   for (uint64_t i = 0; i < num_points; ++i) {
     LeafPath leaf;
     if (packed) {
-      const uint64_t code = LoadU64(leaf_table + 8 * i);
+      const uint64_t code = LoadLE<uint64_t>(leaf_table + 8 * i);
       leaf = codec->Unpack(code);
       // Unpack masks each digit to the codec's bit width; re-packing
       // detects digits that exceeded the arity (corrupt high bits).
@@ -275,14 +149,14 @@ Result<CompleteHst> ParseHstSnapshot(const std::string& bytes) {
                                        ": code has bits outside the shape");
       }
     } else {
-      const unsigned char* row = leaf_table + 2 * static_cast<uint64_t>(depth) * i;
+      const char* row = leaf_table + 2 * static_cast<uint64_t>(depth) * i;
       leaf.resize(static_cast<size_t>(depth));
       if constexpr (kHostLittleEndian) {
         std::memcpy(leaf.data(), row, 2 * static_cast<size_t>(depth));
       } else {
         for (int d = 0; d < depth; ++d) {
           leaf[static_cast<size_t>(d)] =
-              static_cast<char16_t>(LoadU16(row + 2 * d));
+              static_cast<char16_t>(LoadLE<uint16_t>(row + 2 * d));
         }
       }
     }

@@ -1,20 +1,11 @@
 #include "serve/checkpoint.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <sstream>
+#include <array>
 
 #include "common/atomic_file.h"
+#include "common/byte_codec.h"
 
 namespace tbf {
-
-namespace {
-
-constexpr char kCheckpointMagic[] = "TBFCKPT1";
-
-}  // namespace
 
 uint32_t FingerprintEventTrace(const EventTrace& trace) {
   // Byte-stream identical to CRC-ing each field separately (CRC chains
@@ -25,31 +16,19 @@ uint32_t FingerprintEventTrace(const EventTrace& trace) {
   std::string chunk;
   constexpr size_t kFlushAt = size_t{1} << 16;
   chunk.reserve(kFlushAt + 64);
-  const auto add_u64 = [&chunk](uint64_t v) {
-    char bytes[8];
-    for (int i = 0; i < 8; ++i) {
-      bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
-    }
-    chunk.append(bytes, 8);
-  };
-  const auto add_double = [&add_u64](double v) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    add_u64(bits);
-  };
-  add_double(trace.region.min_x);
-  add_double(trace.region.min_y);
-  add_double(trace.region.max_x);
-  add_double(trace.region.max_y);
-  add_u64(trace.events.size());
+  ByteWriter w(&chunk);
+  w.F64(trace.region.min_x);
+  w.F64(trace.region.min_y);
+  w.F64(trace.region.max_x);
+  w.F64(trace.region.max_y);
+  w.U64(trace.events.size());
   for (const TimedEvent& event : trace.events) {
-    add_u64(static_cast<uint64_t>(event.kind));
-    add_double(event.time);
-    add_u64(event.id.size());
+    w.U64(static_cast<uint64_t>(event.kind));
+    w.F64(event.time);
+    w.U64(event.id.size());
     chunk += event.id;
-    add_double(event.location.x);
-    add_double(event.location.y);
+    w.F64(event.location.x);
+    w.F64(event.location.y);
     if (chunk.size() >= kFlushAt) {
       crc = Crc32(chunk, crc);
       chunk.clear();
@@ -61,421 +40,331 @@ uint32_t FingerprintEventTrace(const EventTrace& trace) {
 
 namespace {
 
-// ------------------------- token (de)serialization -------------------------
-
-// %XX-escapes space, '%', control bytes, DEL and a *leading* '-', so every
-// escaped string is a single whitespace-free token and the standalone
-// token "-" unambiguously means "absent".
-std::string Esc(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    const unsigned char c = static_cast<unsigned char>(s[i]);
-    if (c == '%' || c <= 0x20 || c == 0x7F || (i == 0 && c == '-')) {
-      char buf[4];
-      std::snprintf(buf, sizeof(buf), "%%%02X", c);
-      out += buf;
-    } else {
-      out += static_cast<char>(c);
-    }
-  }
-  return out;
-}
-
-Result<std::string> Unesc(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '%') {
-      out += s[i];
-      continue;
-    }
-    if (i + 2 >= s.size()) {
-      return Status::InvalidArgument("truncated %-escape in token");
-    }
-    auto hex = [](char c) -> int {
-      if (c >= '0' && c <= '9') return c - '0';
-      if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-      if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-      return -1;
-    };
-    const int hi = hex(s[i + 1]);
-    const int lo = hex(s[i + 2]);
-    if (hi < 0 || lo < 0) {
-      return Status::InvalidArgument("bad %-escape in token");
-    }
-    out += static_cast<char>((hi << 4) | lo);
-    i += 2;
-  }
-  return out;
-}
-
-std::string FmtF64(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-Result<uint64_t> ParseU64(const std::string& tok, const char* what) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (tok.empty() || end == nullptr || *end != '\0' || errno == ERANGE ||
-      tok[0] == '-') {
-    return Status::InvalidArgument(std::string("checkpoint: bad ") + what +
-                                   " '" + tok + "'");
-  }
-  return static_cast<uint64_t>(v);
-}
-
-Result<int64_t> ParseI64(const std::string& tok, const char* what) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(tok.c_str(), &end, 10);
-  if (tok.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument(std::string("checkpoint: bad ") + what +
-                                   " '" + tok + "'");
-  }
-  return static_cast<int64_t>(v);
-}
-
-Result<double> ParseF64(const std::string& tok, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (tok.empty() || end == nullptr || *end != '\0') {
-    return Status::InvalidArgument(std::string("checkpoint: bad ") + what +
-                                   " '" + tok + "'");
-  }
-  return v;
-}
-
+constexpr char kCheckpointMagic[] = "TBFCKPT2";
+// The line-per-record text format of older builds; refused, not migrated.
+constexpr std::string_view kTextCheckpointMagic = "TBFCKPT1 ";
+constexpr uint32_t kCheckpointVersion = 4;
 constexpr int kMaxStatusCode = static_cast<int>(StatusCode::kAborted);
 
-std::vector<std::string> SplitTokens(const std::string& line) {
-  std::vector<std::string> tokens;
-  size_t pos = 0;
-  while (pos < line.size()) {
-    const size_t space = line.find(' ', pos);
-    const size_t end = space == std::string::npos ? line.size() : space;
-    if (end > pos) tokens.push_back(line.substr(pos, end - pos));
-    pos = end + 1;
+// The report counters in their on-disk order (const or mutable).
+template <typename Counters>
+auto ReportFields(Counters& r) {
+  return std::array{&r.registered,        &r.assigned,
+                    &r.unassigned,        &r.denied,
+                    &r.shed,              &r.quarantined,
+                    &r.missed_departures, &r.processed_events,
+                    &r.faults_dropped,    &r.faults_duplicated,
+                    &r.faults_reordered,  &r.faults_stalled,
+                    &r.checkpoints_written};
+}
+
+// ------------------------------ encoding ---------------------------------
+
+void WriteEpoch(ByteWriter& w, const EpochStats& e) {
+  w.I64(e.epoch);
+  w.U64(e.worker_arrivals);
+  w.U64(e.task_arrivals);
+  w.U64(e.departures);
+  w.U64(e.assigned);
+  w.U64(e.unassigned);
+  w.U64(e.denied);
+  w.F64(e.obfuscate_seconds);
+  w.F64(e.dispatch_seconds);
+  w.F64(e.epsilon_spent);
+  w.U64(e.denied_epoch_budget);
+  w.U64(e.denied_lifetime_budget);
+  w.U64(e.shed);
+  w.U64(e.quarantined);
+}
+
+void WriteTask(ByteWriter& w, const TaskOutcome& t) {
+  w.Str(t.task_id);
+  w.U8(static_cast<uint8_t>(t.status.code()));
+  w.Str(t.status.message());
+  w.U8(t.worker.has_value() ? 1 : 0);
+  if (t.worker) w.Str(*t.worker);
+  w.F64(t.reported_tree_distance);
+}
+
+void WriteSpends(ByteWriter& w,
+                 const std::vector<std::pair<std::string, double>>& spends) {
+  w.U64(spends.size());
+  for (const auto& [user, eps] : spends) {
+    w.Str(user);
+    w.F64(eps);
   }
-  return tokens;
+}
+
+void WriteServer(ByteWriter& w, const ShardedServerState& s) {
+  w.U8(s.packed ? 1 : 0);
+  w.U64(s.assigned_tasks);
+  w.U64(s.tree_epoch);
+  w.Str(s.rng_state);
+  w.U64(s.worker_by_index_id.size());
+  for (const std::string& id : s.worker_by_index_id) w.Str(id);
+  w.U64(s.free_index_ids.size());
+  for (const int id : s.free_index_ids) w.I32(id);
+  w.U64(s.workers.size());
+  for (const ShardedServerState::Worker& worker : s.workers) {
+    w.Str(worker.id);
+    w.U64(worker.code);
+    w.Str(worker.leaf_digits);
+    w.I32(worker.index_id);
+    w.I32(worker.shard);
+  }
+  w.U8(s.ledger.has_value() ? 1 : 0);
+  if (s.ledger) {
+    w.I64(s.ledger->epoch);
+    w.F64(s.ledger->totals.epsilon_spent);
+    w.U64(s.ledger->totals.charges);
+    w.U64(s.ledger->totals.denied_epoch);
+    w.U64(s.ledger->totals.denied_lifetime);
+    WriteSpends(w, s.ledger->epoch_spent);
+    WriteSpends(w, s.ledger->lifetime_spent);
+  }
+}
+
+void WriteMetrics(ByteWriter& w, const obs::MetricsSnapshot& m) {
+  w.U64(m.counters.size());
+  for (const obs::CounterSample& sample : m.counters) {
+    w.Str(sample.name);
+    w.F64(sample.value);
+  }
+  w.U64(m.gauges.size());
+  for (const obs::GaugeSample& sample : m.gauges) {
+    w.Str(sample.name);
+    w.I64(sample.value);
+  }
+  w.U64(m.histograms.size());
+  for (const obs::HistogramSample& sample : m.histograms) {
+    w.Str(sample.name);
+    w.U64(sample.count);
+    w.U64(sample.sum);
+    for (const uint64_t bucket : sample.buckets) w.U64(bucket);
+  }
+}
+
+// ------------------------------ decoding ---------------------------------
+
+// Reads a count-prefixed vector. `min_bytes` is the smallest encoding of
+// one element, so a corrupt count is refused before the reserve.
+template <typename T, typename ReadOne>
+Status ReadVector(ByteReader& r, size_t min_bytes, const char* what,
+                  std::vector<T>* out, ReadOne read_one) {
+  TBF_ASSIGN_OR_RETURN(const uint64_t count, r.Count(min_bytes, what));
+  out->reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    T item{};
+    TBF_RETURN_NOT_OK(read_one(item));
+    out->push_back(std::move(item));
+  }
+  return Status::OK();
+}
+
+Result<bool> ReadFlag(ByteReader& r, const char* what) {
+  TBF_ASSIGN_OR_RETURN(const uint8_t v, r.U8());
+  if (v > 1) {
+    return Status::InvalidArgument(std::string("checkpoint: ") + what +
+                                   " flag must be 0 or 1, got " +
+                                   std::to_string(v));
+  }
+  return v == 1;
+}
+
+Status ReadEpoch(ByteReader& r, EpochStats& e) {
+  TBF_ASSIGN_OR_RETURN(e.epoch, r.I64());
+  TBF_ASSIGN_OR_RETURN(e.worker_arrivals, r.U64());
+  TBF_ASSIGN_OR_RETURN(e.task_arrivals, r.U64());
+  TBF_ASSIGN_OR_RETURN(e.departures, r.U64());
+  TBF_ASSIGN_OR_RETURN(e.assigned, r.U64());
+  TBF_ASSIGN_OR_RETURN(e.unassigned, r.U64());
+  TBF_ASSIGN_OR_RETURN(e.denied, r.U64());
+  TBF_ASSIGN_OR_RETURN(e.obfuscate_seconds, r.F64());
+  TBF_ASSIGN_OR_RETURN(e.dispatch_seconds, r.F64());
+  TBF_ASSIGN_OR_RETURN(e.epsilon_spent, r.F64());
+  TBF_ASSIGN_OR_RETURN(e.denied_epoch_budget, r.U64());
+  TBF_ASSIGN_OR_RETURN(e.denied_lifetime_budget, r.U64());
+  TBF_ASSIGN_OR_RETURN(e.shed, r.U64());
+  TBF_ASSIGN_OR_RETURN(e.quarantined, r.U64());
+  return Status::OK();
+}
+
+Status ReadTask(ByteReader& r, TaskOutcome& t) {
+  TBF_ASSIGN_OR_RETURN(t.task_id, r.Str());
+  TBF_ASSIGN_OR_RETURN(const uint8_t code, r.U8());
+  if (code > kMaxStatusCode) {
+    return Status::InvalidArgument("checkpoint: task '" + t.task_id +
+                                   "': status code " + std::to_string(code) +
+                                   " out of range");
+  }
+  TBF_ASSIGN_OR_RETURN(std::string message, r.Str());
+  t.status = code == 0 ? Status::OK()
+                       : Status(static_cast<StatusCode>(code), message);
+  TBF_ASSIGN_OR_RETURN(const bool has_worker, ReadFlag(r, "task worker"));
+  if (has_worker) {
+    TBF_ASSIGN_OR_RETURN(t.worker, r.Str());
+  }
+  TBF_ASSIGN_OR_RETURN(t.reported_tree_distance, r.F64());
+  return Status::OK();
+}
+
+Status ReadSpends(ByteReader& r,
+                  std::vector<std::pair<std::string, double>>* spends) {
+  return ReadVector(r, 4 + 8, "ledger spends", spends,
+                    [&r](std::pair<std::string, double>& spend) -> Status {
+                      TBF_ASSIGN_OR_RETURN(spend.first, r.Str());
+                      TBF_ASSIGN_OR_RETURN(spend.second, r.F64());
+                      return Status::OK();
+                    });
+}
+
+Status ReadServer(ByteReader& r, ShardedServerState& s) {
+  TBF_ASSIGN_OR_RETURN(s.packed, ReadFlag(r, "packed"));
+  TBF_ASSIGN_OR_RETURN(s.assigned_tasks, r.U64());
+  TBF_ASSIGN_OR_RETURN(s.tree_epoch, r.U64());
+  TBF_ASSIGN_OR_RETURN(s.rng_state, r.Str());
+  TBF_RETURN_NOT_OK(ReadVector(r, 4, "index slots", &s.worker_by_index_id,
+                               [&r](std::string& id) -> Status {
+                                 TBF_ASSIGN_OR_RETURN(id, r.Str());
+                                 return Status::OK();
+                               }));
+  TBF_RETURN_NOT_OK(ReadVector(r, 4, "free index ids", &s.free_index_ids,
+                               [&r](int& id) -> Status {
+                                 TBF_ASSIGN_OR_RETURN(id, r.I32());
+                                 return Status::OK();
+                               }));
+  TBF_RETURN_NOT_OK(ReadVector(
+      r, 4 + 8 + 4 + 4 + 4, "workers", &s.workers,
+      [&r](ShardedServerState::Worker& worker) -> Status {
+        TBF_ASSIGN_OR_RETURN(worker.id, r.Str());
+        TBF_ASSIGN_OR_RETURN(worker.code, r.U64());
+        TBF_ASSIGN_OR_RETURN(worker.leaf_digits, r.Str());
+        TBF_ASSIGN_OR_RETURN(worker.index_id, r.I32());
+        TBF_ASSIGN_OR_RETURN(worker.shard, r.I32());
+        return Status::OK();
+      }));
+  TBF_ASSIGN_OR_RETURN(const bool has_ledger, ReadFlag(r, "ledger"));
+  if (has_ledger) {
+    EpochBudgetLedger::State& ledger = s.ledger.emplace();
+    TBF_ASSIGN_OR_RETURN(ledger.epoch, r.I64());
+    TBF_ASSIGN_OR_RETURN(ledger.totals.epsilon_spent, r.F64());
+    TBF_ASSIGN_OR_RETURN(ledger.totals.charges, r.U64());
+    TBF_ASSIGN_OR_RETURN(ledger.totals.denied_epoch, r.U64());
+    TBF_ASSIGN_OR_RETURN(ledger.totals.denied_lifetime, r.U64());
+    TBF_RETURN_NOT_OK(ReadSpends(r, &ledger.epoch_spent));
+    TBF_RETURN_NOT_OK(ReadSpends(r, &ledger.lifetime_spent));
+  }
+  return Status::OK();
+}
+
+Status ReadMetrics(ByteReader& r, obs::MetricsSnapshot& m) {
+  TBF_RETURN_NOT_OK(ReadVector(r, 4 + 8, "counters", &m.counters,
+                               [&r](obs::CounterSample& sample) -> Status {
+                                 TBF_ASSIGN_OR_RETURN(sample.name, r.Str());
+                                 TBF_ASSIGN_OR_RETURN(sample.value, r.F64());
+                                 return Status::OK();
+                               }));
+  TBF_RETURN_NOT_OK(ReadVector(r, 4 + 8, "gauges", &m.gauges,
+                               [&r](obs::GaugeSample& sample) -> Status {
+                                 TBF_ASSIGN_OR_RETURN(sample.name, r.Str());
+                                 TBF_ASSIGN_OR_RETURN(sample.value, r.I64());
+                                 return Status::OK();
+                               }));
+  return ReadVector(
+      r, 4 + 8 * (2 + obs::Histogram::kBuckets), "histograms", &m.histograms,
+      [&r](obs::HistogramSample& sample) -> Status {
+        TBF_ASSIGN_OR_RETURN(sample.name, r.Str());
+        TBF_ASSIGN_OR_RETURN(sample.count, r.U64());
+        TBF_ASSIGN_OR_RETURN(sample.sum, r.U64());
+        for (uint64_t& bucket : sample.buckets) {
+          TBF_ASSIGN_OR_RETURN(bucket, r.U64());
+        }
+        return Status::OK();
+      });
 }
 
 }  // namespace
 
 std::string SerializeReplayCheckpoint(const ReplayCheckpoint& c) {
-  std::ostringstream out;
-  out << "version " << c.version << '\n';
-  out << "trace_fp " << c.trace_fingerprint << '\n';
-  out << "config " << c.num_shards << ' ' << FmtF64(c.epoch_seconds) << ' '
-      << c.server_seed << ' ' << c.obfuscation_seed << '\n';
-  out << "cursor " << c.next_event << ' ' << c.arrivals_obfuscated << ' '
-      << c.next_task_slot << '\n';
-  out << "wal " << c.wal_next_lsn << '\n';
-  const ReplayCheckpoint::ReportCounters& r = c.report;
-  out << "report " << r.registered << ' ' << r.assigned << ' ' << r.unassigned
-      << ' ' << r.denied << ' ' << r.shed << ' ' << r.quarantined << ' '
-      << r.missed_departures << ' ' << r.processed_events << ' '
-      << r.faults_dropped << ' ' << r.faults_duplicated << ' '
-      << r.faults_reordered << ' ' << r.faults_stalled << ' '
-      << r.checkpoints_written << '\n';
-  for (const EpochStats& e : c.per_epoch) {
-    out << "epoch " << e.epoch << ' ' << e.worker_arrivals << ' '
-        << e.task_arrivals << ' ' << e.departures << ' ' << e.assigned << ' '
-        << e.unassigned << ' ' << e.denied << ' '
-        << FmtF64(e.obfuscate_seconds) << ' ' << FmtF64(e.dispatch_seconds)
-        << ' ' << FmtF64(e.epsilon_spent) << ' ' << e.denied_epoch_budget
-        << ' ' << e.denied_lifetime_budget << ' ' << e.shed << ' '
-        << e.quarantined << '\n';
-  }
-  for (const TaskOutcome& t : c.task_outcomes) {
-    out << "task " << Esc(t.task_id) << ' '
-        << static_cast<int>(t.status.code()) << ' '
-        << (t.status.message().empty() ? "-" : Esc(t.status.message())) << ' '
-        << (t.worker ? Esc(*t.worker) : "-") << ' '
-        << FmtF64(t.reported_tree_distance) << '\n';
-  }
+  std::string payload;
+  payload.reserve(1024 + 48 * c.task_outcomes.size() +
+                  64 * c.server.workers.size());
+  ByteWriter w(&payload);
+  w.U32(kCheckpointVersion);
+  w.U32(c.trace_fingerprint);
+  w.I32(c.num_shards);
+  w.F64(c.epoch_seconds);
+  w.U64(c.server_seed);
+  w.U64(c.obfuscation_seed);
+  w.U64(c.next_event);
+  w.U64(c.arrivals_obfuscated);
+  w.I64(c.next_task_slot);
+  w.U64(c.wal_next_lsn);
+  for (const uint64_t* field : ReportFields(c.report)) w.U64(*field);
+  w.U64(c.per_epoch.size());
+  for (const EpochStats& e : c.per_epoch) WriteEpoch(w, e);
+  w.U64(c.task_outcomes.size());
+  for (const TaskOutcome& t : c.task_outcomes) WriteTask(w, t);
+  w.U64(c.quarantined_events.size());
   for (const QuarantineRecord& q : c.quarantined_events) {
-    out << "quar " << q.event_index << ' '
-        << (q.id.empty() ? "-" : Esc(q.id)) << ' ' << Esc(q.cause) << '\n';
+    w.U64(q.event_index);
+    w.Str(q.id);
+    w.Str(q.cause);
   }
-  out << "server " << (c.server.packed ? 1 : 0) << ' '
-      << c.server.assigned_tasks << ' ' << c.server.tree_epoch << '\n';
-  out << "rng " << Esc(c.server.rng_state) << '\n';
-  for (const std::string& id : c.server.worker_by_index_id) {
-    out << "slot " << (id.empty() ? "-" : Esc(id)) << '\n';
-  }
-  out << "free";
-  for (const int id : c.server.free_index_ids) out << ' ' << id;
-  out << '\n';
-  for (const ShardedServerState::Worker& w : c.server.workers) {
-    out << "worker " << Esc(w.id) << ' ' << w.code << ' '
-        << (w.leaf_digits.empty() ? "-" : Esc(w.leaf_digits)) << ' '
-        << w.index_id << ' ' << w.shard << '\n';
-  }
-  if (c.server.ledger) {
-    const EpochBudgetLedger::State& ledger = *c.server.ledger;
-    out << "ledger " << ledger.epoch << ' '
-        << FmtF64(ledger.totals.epsilon_spent) << ' ' << ledger.totals.charges
-        << ' ' << ledger.totals.denied_epoch << ' '
-        << ledger.totals.denied_lifetime << '\n';
-    for (const auto& [user, eps] : ledger.epoch_spent) {
-      out << "lspend e " << Esc(user) << ' ' << FmtF64(eps) << '\n';
-    }
-    for (const auto& [user, eps] : ledger.lifetime_spent) {
-      out << "lspend l " << Esc(user) << ' ' << FmtF64(eps) << '\n';
-    }
-  }
-  for (const obs::CounterSample& sample : c.metrics.counters) {
-    out << "counter " << Esc(sample.name) << ' ' << FmtF64(sample.value)
-        << '\n';
-  }
-  for (const obs::GaugeSample& sample : c.metrics.gauges) {
-    out << "gauge " << Esc(sample.name) << ' ' << sample.value << '\n';
-  }
-  for (const obs::HistogramSample& sample : c.metrics.histograms) {
-    out << "hist " << Esc(sample.name) << ' ' << sample.count << ' '
-        << sample.sum;
-    for (const uint64_t bucket : sample.buckets) out << ' ' << bucket;
-    out << '\n';
-  }
-  const std::string payload = out.str();
+  WriteServer(w, c.server);
+  WriteMetrics(w, c.metrics);
   return FrameCrcPayload(kCheckpointMagic, payload);
 }
 
-Result<ReplayCheckpoint> ParseReplayCheckpoint(const std::string& text) {
-  TBF_ASSIGN_OR_RETURN(const std::string payload,
-                       UnframeCrcPayload(kCheckpointMagic, text, "checkpoint"));
-
-  ReplayCheckpoint c;
-  bool saw_version = false, saw_config = false, saw_cursor = false,
-       saw_report = false, saw_server = false, saw_rng = false,
-       saw_free = false;
-  size_t line_no = 1;
-  size_t pos = 0;
-  while (pos < payload.size()) {
-    ++line_no;
-    size_t eol = payload.find('\n', pos);
-    if (eol == std::string::npos) eol = payload.size();
-    const std::string line = payload.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    const std::vector<std::string> tok = SplitTokens(line);
-    const std::string& key = tok[0];
-    const auto bad = [&](const std::string& why) {
-      return Status::InvalidArgument("checkpoint line " +
-                                     std::to_string(line_no) + ": " + why);
-    };
-    if (key == "version") {
-      if (tok.size() != 2) return bad("version needs 1 field");
-      TBF_ASSIGN_OR_RETURN(const int64_t v, ParseI64(tok[1], "version"));
-      if (v != 2 && v != 3) {
-        return bad("unsupported version " + tok[1] +
-                   " (this build reads v2 and v3 checkpoints)");
-      }
-      c.version = static_cast<int>(v);
-      saw_version = true;
-    } else if (key == "trace_fp") {
-      if (tok.size() != 2) return bad("trace_fp needs 1 field");
-      TBF_ASSIGN_OR_RETURN(const uint64_t fp, ParseU64(tok[1], "trace_fp"));
-      c.trace_fingerprint = static_cast<uint32_t>(fp);
-    } else if (key == "config") {
-      if (tok.size() != 5) return bad("config needs 4 fields");
-      TBF_ASSIGN_OR_RETURN(const int64_t shards,
-                           ParseI64(tok[1], "num_shards"));
-      c.num_shards = static_cast<int>(shards);
-      TBF_ASSIGN_OR_RETURN(c.epoch_seconds, ParseF64(tok[2], "epoch_seconds"));
-      TBF_ASSIGN_OR_RETURN(c.server_seed, ParseU64(tok[3], "server_seed"));
-      TBF_ASSIGN_OR_RETURN(c.obfuscation_seed,
-                           ParseU64(tok[4], "obfuscation_seed"));
-      saw_config = true;
-    } else if (key == "cursor") {
-      if (tok.size() != 4) return bad("cursor needs 3 fields");
-      TBF_ASSIGN_OR_RETURN(c.next_event, ParseU64(tok[1], "next_event"));
-      TBF_ASSIGN_OR_RETURN(c.arrivals_obfuscated,
-                           ParseU64(tok[2], "arrivals_obfuscated"));
-      TBF_ASSIGN_OR_RETURN(c.next_task_slot,
-                           ParseI64(tok[3], "next_task_slot"));
-      saw_cursor = true;
-    } else if (key == "wal") {
-      if (tok.size() != 2) return bad("wal needs 1 field");
-      TBF_ASSIGN_OR_RETURN(c.wal_next_lsn, ParseU64(tok[1], "wal_next_lsn"));
-    } else if (key == "report") {
-      if (tok.size() != 14) return bad("report needs 13 fields");
-      uint64_t* fields[] = {
-          &c.report.registered,        &c.report.assigned,
-          &c.report.unassigned,        &c.report.denied,
-          &c.report.shed,              &c.report.quarantined,
-          &c.report.missed_departures, &c.report.processed_events,
-          &c.report.faults_dropped,    &c.report.faults_duplicated,
-          &c.report.faults_reordered,  &c.report.faults_stalled,
-          &c.report.checkpoints_written};
-      for (size_t i = 0; i < 13; ++i) {
-        TBF_ASSIGN_OR_RETURN(*fields[i], ParseU64(tok[i + 1], "report field"));
-      }
-      saw_report = true;
-    } else if (key == "epoch") {
-      if (tok.size() != 15) return bad("epoch needs 14 fields");
-      EpochStats e;
-      TBF_ASSIGN_OR_RETURN(e.epoch, ParseI64(tok[1], "epoch"));
-      uint64_t v = 0;
-      TBF_ASSIGN_OR_RETURN(v, ParseU64(tok[2], "worker_arrivals"));
-      e.worker_arrivals = static_cast<size_t>(v);
-      TBF_ASSIGN_OR_RETURN(v, ParseU64(tok[3], "task_arrivals"));
-      e.task_arrivals = static_cast<size_t>(v);
-      TBF_ASSIGN_OR_RETURN(v, ParseU64(tok[4], "departures"));
-      e.departures = static_cast<size_t>(v);
-      TBF_ASSIGN_OR_RETURN(v, ParseU64(tok[5], "assigned"));
-      e.assigned = static_cast<size_t>(v);
-      TBF_ASSIGN_OR_RETURN(v, ParseU64(tok[6], "unassigned"));
-      e.unassigned = static_cast<size_t>(v);
-      TBF_ASSIGN_OR_RETURN(v, ParseU64(tok[7], "denied"));
-      e.denied = static_cast<size_t>(v);
-      TBF_ASSIGN_OR_RETURN(e.obfuscate_seconds,
-                           ParseF64(tok[8], "obfuscate_seconds"));
-      TBF_ASSIGN_OR_RETURN(e.dispatch_seconds,
-                           ParseF64(tok[9], "dispatch_seconds"));
-      TBF_ASSIGN_OR_RETURN(e.epsilon_spent, ParseF64(tok[10], "epsilon_spent"));
-      TBF_ASSIGN_OR_RETURN(e.denied_epoch_budget,
-                           ParseU64(tok[11], "denied_epoch_budget"));
-      TBF_ASSIGN_OR_RETURN(e.denied_lifetime_budget,
-                           ParseU64(tok[12], "denied_lifetime_budget"));
-      TBF_ASSIGN_OR_RETURN(v, ParseU64(tok[13], "shed"));
-      e.shed = static_cast<size_t>(v);
-      TBF_ASSIGN_OR_RETURN(v, ParseU64(tok[14], "quarantined"));
-      e.quarantined = static_cast<size_t>(v);
-      c.per_epoch.push_back(e);
-    } else if (key == "task") {
-      if (tok.size() != 6) return bad("task needs 5 fields");
-      TaskOutcome t;
-      TBF_ASSIGN_OR_RETURN(t.task_id, Unesc(tok[1]));
-      TBF_ASSIGN_OR_RETURN(const int64_t code, ParseI64(tok[2], "status code"));
-      if (code < 0 || code > kMaxStatusCode) {
-        return bad("status code out of range: " + tok[2]);
-      }
-      std::string message;
-      if (tok[3] != "-") {
-        TBF_ASSIGN_OR_RETURN(message, Unesc(tok[3]));
-      }
-      t.status = code == 0 ? Status::OK()
-                           : Status(static_cast<StatusCode>(code), message);
-      if (tok[4] != "-") {
-        TBF_ASSIGN_OR_RETURN(std::string worker, Unesc(tok[4]));
-        t.worker = std::move(worker);
-      }
-      TBF_ASSIGN_OR_RETURN(t.reported_tree_distance,
-                           ParseF64(tok[5], "tree distance"));
-      c.task_outcomes.push_back(std::move(t));
-    } else if (key == "quar") {
-      if (tok.size() != 4) return bad("quar needs 3 fields");
-      QuarantineRecord q;
-      TBF_ASSIGN_OR_RETURN(q.event_index, ParseU64(tok[1], "event index"));
-      if (tok[2] != "-") {
-        TBF_ASSIGN_OR_RETURN(q.id, Unesc(tok[2]));
-      }
-      TBF_ASSIGN_OR_RETURN(q.cause, Unesc(tok[3]));
-      c.quarantined_events.push_back(std::move(q));
-    } else if (key == "server") {
-      if (tok.size() != 4) return bad("server needs 3 fields");
-      TBF_ASSIGN_OR_RETURN(const uint64_t packed, ParseU64(tok[1], "packed"));
-      if (packed > 1) return bad("packed must be 0 or 1");
-      c.server.packed = packed == 1;
-      TBF_ASSIGN_OR_RETURN(c.server.assigned_tasks,
-                           ParseU64(tok[2], "assigned_tasks"));
-      TBF_ASSIGN_OR_RETURN(c.server.tree_epoch,
-                           ParseU64(tok[3], "tree_epoch"));
-      saw_server = true;
-    } else if (key == "rng") {
-      if (tok.size() != 2) return bad("rng needs 1 field");
-      TBF_ASSIGN_OR_RETURN(c.server.rng_state, Unesc(tok[1]));
-      saw_rng = true;
-    } else if (key == "slot") {
-      if (tok.size() != 2) return bad("slot needs 1 field");
-      std::string id;
-      if (tok[1] != "-") {
-        TBF_ASSIGN_OR_RETURN(id, Unesc(tok[1]));
-      }
-      c.server.worker_by_index_id.push_back(std::move(id));
-    } else if (key == "free") {
-      for (size_t i = 1; i < tok.size(); ++i) {
-        TBF_ASSIGN_OR_RETURN(const int64_t id, ParseI64(tok[i], "free id"));
-        c.server.free_index_ids.push_back(static_cast<int>(id));
-      }
-      saw_free = true;
-    } else if (key == "worker") {
-      if (tok.size() != 6) return bad("worker needs 5 fields");
-      ShardedServerState::Worker w;
-      TBF_ASSIGN_OR_RETURN(w.id, Unesc(tok[1]));
-      TBF_ASSIGN_OR_RETURN(w.code, ParseU64(tok[2], "worker code"));
-      if (tok[3] != "-") {
-        TBF_ASSIGN_OR_RETURN(w.leaf_digits, Unesc(tok[3]));
-      }
-      TBF_ASSIGN_OR_RETURN(const int64_t index_id,
-                           ParseI64(tok[4], "index id"));
-      w.index_id = static_cast<int>(index_id);
-      TBF_ASSIGN_OR_RETURN(const int64_t shard, ParseI64(tok[5], "shard"));
-      w.shard = static_cast<int>(shard);
-      c.server.workers.push_back(std::move(w));
-    } else if (key == "ledger") {
-      if (tok.size() != 6) return bad("ledger needs 5 fields");
-      EpochBudgetLedger::State ledger;
-      TBF_ASSIGN_OR_RETURN(ledger.epoch, ParseI64(tok[1], "ledger epoch"));
-      TBF_ASSIGN_OR_RETURN(ledger.totals.epsilon_spent,
-                           ParseF64(tok[2], "epsilon_spent"));
-      TBF_ASSIGN_OR_RETURN(ledger.totals.charges,
-                           ParseU64(tok[3], "charges"));
-      TBF_ASSIGN_OR_RETURN(ledger.totals.denied_epoch,
-                           ParseU64(tok[4], "denied_epoch"));
-      TBF_ASSIGN_OR_RETURN(ledger.totals.denied_lifetime,
-                           ParseU64(tok[5], "denied_lifetime"));
-      c.server.ledger = std::move(ledger);
-    } else if (key == "lspend") {
-      if (tok.size() != 4 || (tok[1] != "e" && tok[1] != "l")) {
-        return bad("lspend needs kind (e|l), user, epsilon");
-      }
-      if (!c.server.ledger) return bad("lspend before ledger line");
-      TBF_ASSIGN_OR_RETURN(std::string user, Unesc(tok[2]));
-      TBF_ASSIGN_OR_RETURN(const double eps, ParseF64(tok[3], "spend"));
-      auto& target = tok[1] == "e" ? c.server.ledger->epoch_spent
-                                   : c.server.ledger->lifetime_spent;
-      target.emplace_back(std::move(user), eps);
-    } else if (key == "counter") {
-      if (tok.size() != 3) return bad("counter needs 2 fields");
-      obs::CounterSample sample;
-      TBF_ASSIGN_OR_RETURN(sample.name, Unesc(tok[1]));
-      TBF_ASSIGN_OR_RETURN(sample.value, ParseF64(tok[2], "counter value"));
-      c.metrics.counters.push_back(std::move(sample));
-    } else if (key == "gauge") {
-      if (tok.size() != 3) return bad("gauge needs 2 fields");
-      obs::GaugeSample sample;
-      TBF_ASSIGN_OR_RETURN(sample.name, Unesc(tok[1]));
-      TBF_ASSIGN_OR_RETURN(sample.value, ParseI64(tok[2], "gauge value"));
-      c.metrics.gauges.push_back(std::move(sample));
-    } else if (key == "hist") {
-      if (tok.size() != 4 + obs::Histogram::kBuckets) {
-        return bad("hist needs name, count, sum and 64 buckets");
-      }
-      obs::HistogramSample sample;
-      TBF_ASSIGN_OR_RETURN(sample.name, Unesc(tok[1]));
-      TBF_ASSIGN_OR_RETURN(sample.count, ParseU64(tok[2], "hist count"));
-      TBF_ASSIGN_OR_RETURN(sample.sum, ParseU64(tok[3], "hist sum"));
-      for (int i = 0; i < obs::Histogram::kBuckets; ++i) {
-        TBF_ASSIGN_OR_RETURN(
-            sample.buckets[static_cast<size_t>(i)],
-            ParseU64(tok[static_cast<size_t>(i) + 4], "hist bucket"));
-      }
-      c.metrics.histograms.push_back(std::move(sample));
-    } else {
-      return bad("unknown record kind '" + key + "'");
-    }
-  }
-  if (!saw_version || !saw_config || !saw_cursor || !saw_report ||
-      !saw_server || !saw_rng || !saw_free) {
+Result<ReplayCheckpoint> ParseReplayCheckpoint(const std::string& bytes) {
+  if (bytes.starts_with(kTextCheckpointMagic)) {
     return Status::InvalidArgument(
-        "checkpoint: missing required record(s) — truncated or corrupt "
-        "payload");
+        "checkpoint: TBFCKPT1 is a text checkpoint from an older build; "
+        "this build reads only binary TBFCKPT2 checkpoints — start the run "
+        "fresh");
+  }
+  TBF_ASSIGN_OR_RETURN(const std::string payload,
+                       UnframeCrcPayload(kCheckpointMagic, bytes, "checkpoint"));
+  ByteReader r(payload, "checkpoint: truncated payload");
+  ReplayCheckpoint c;
+  TBF_ASSIGN_OR_RETURN(const uint32_t version, r.U32());
+  if (version != kCheckpointVersion) {
+    return Status::InvalidArgument(
+        "checkpoint: unsupported version " + std::to_string(version) +
+        " (this build reads v" + std::to_string(kCheckpointVersion) + ")");
+  }
+  c.version = static_cast<int>(version);
+  TBF_ASSIGN_OR_RETURN(c.trace_fingerprint, r.U32());
+  TBF_ASSIGN_OR_RETURN(c.num_shards, r.I32());
+  TBF_ASSIGN_OR_RETURN(c.epoch_seconds, r.F64());
+  TBF_ASSIGN_OR_RETURN(c.server_seed, r.U64());
+  TBF_ASSIGN_OR_RETURN(c.obfuscation_seed, r.U64());
+  TBF_ASSIGN_OR_RETURN(c.next_event, r.U64());
+  TBF_ASSIGN_OR_RETURN(c.arrivals_obfuscated, r.U64());
+  TBF_ASSIGN_OR_RETURN(c.next_task_slot, r.I64());
+  TBF_ASSIGN_OR_RETURN(c.wal_next_lsn, r.U64());
+  for (uint64_t* field : ReportFields(c.report)) {
+    TBF_ASSIGN_OR_RETURN(*field, r.U64());
+  }
+  TBF_RETURN_NOT_OK(ReadVector(r, 8 * 14, "epochs", &c.per_epoch,
+                               [&r](EpochStats& e) { return ReadEpoch(r, e); }));
+  TBF_RETURN_NOT_OK(
+      ReadVector(r, 4 + 1 + 4 + 1 + 8, "task outcomes", &c.task_outcomes,
+                 [&r](TaskOutcome& t) { return ReadTask(r, t); }));
+  TBF_RETURN_NOT_OK(ReadVector(r, 8 + 4 + 4, "quarantine records",
+                               &c.quarantined_events,
+                               [&r](QuarantineRecord& q) -> Status {
+                                 TBF_ASSIGN_OR_RETURN(q.event_index, r.U64());
+                                 TBF_ASSIGN_OR_RETURN(q.id, r.Str());
+                                 TBF_ASSIGN_OR_RETURN(q.cause, r.Str());
+                                 return Status::OK();
+                               }));
+  TBF_RETURN_NOT_OK(ReadServer(r, c.server));
+  TBF_RETURN_NOT_OK(ReadMetrics(r, c.metrics));
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument("checkpoint: " +
+                                   std::to_string(r.remaining()) +
+                                   " trailing bytes after the metrics section");
   }
   return c;
 }
@@ -487,9 +376,9 @@ Status WriteReplayCheckpointFile(const ReplayCheckpoint& checkpoint,
 }
 
 Result<ReplayCheckpoint> ReadReplayCheckpointFile(const std::string& path) {
-  TBF_ASSIGN_OR_RETURN(const std::string text,
+  TBF_ASSIGN_OR_RETURN(const std::string bytes,
                        ReadFileToString(path, "checkpoint"));
-  return ParseReplayCheckpoint(text);
+  return ParseReplayCheckpoint(bytes);
 }
 
 }  // namespace tbf

@@ -10,18 +10,21 @@
 // epoch length, seeds) let resume refuse a checkpoint that does not
 // belong to the run being resumed.
 //
-// On-disk format (docs/ROBUSTNESS.md has the full catalog):
+// On-disk format (docs/ROBUSTNESS.md has the full grammar):
 //
-//   TBFCKPT1 <crc32-hex8> <payload-bytes>\n
+//   TBFCKPT2 <crc32-hex8> <payload-bytes>\n
 //   <payload>
 //
-// The payload is line-oriented `key v1 v2 ...` records. Strings are
-// %XX-escaped (space, '%', control bytes, and a leading '-' — so the
-// standalone token `-` unambiguously means "absent"); doubles are
-// printf %a hexfloats, which round-trip bit-exactly. The CRC-32 (IEEE,
+// The payload is binary, written with the byte codec every persisted
+// artefact shares (common/byte_codec.h): little-endian integers, doubles
+// as IEEE-754 bit patterns, <len:u32>-prefixed strings and <count:u64>-
+// prefixed vectors, in a fixed section order (version, identity, cursor,
+// report counters, epochs, task outcomes, quarantine records, engine
+// state, metrics) with nothing after the last section. The CRC-32 (IEEE,
 // reflected, the same polynomial as zlib/binascii.crc32) covers the
-// payload bytes, so tools/check_checkpoint.py can validate a file with
-// nothing but the Python standard library.
+// payload bytes, so tools/check_wal.py can validate a file with nothing
+// but the Python standard library. Text checkpoints of older builds
+// (magic TBFCKPT1) are refused, not migrated.
 //
 // WriteReplayCheckpointFile is atomic: the bytes go to `<path>.tmp`,
 // are fsync'd, and rename(2) publishes them — a crash mid-write leaves
@@ -35,8 +38,8 @@
 #include <vector>
 
 // Crc32 and the atomic tmp+fsync+rename write live in common/atomic_file.h
-// (shared with hst/snapshot.h); this include keeps them visible to every
-// checkpoint consumer that historically found them here.
+// (shared with hst/snapshot.h and serve/wal.h); this include keeps them
+// visible to every checkpoint consumer that historically found them here.
 #include "common/atomic_file.h"
 #include "common/result.h"
 #include "obs/metrics.h"
@@ -58,10 +61,11 @@ uint32_t FingerprintEventTrace(const EventTrace& trace);
 /// serve/republish.h) so resume can fast-forward the engine onto the
 /// correct published tree before restoring worker state; v3 added the
 /// `wal` record (wal_next_lsn — the journal position this checkpoint
-/// covers, see serve/wal.h). The parser reads v2 and v3 (a v2 file
-/// simply has wal_next_lsn == 0).
+/// covers, see serve/wal.h). v1-v3 were text (TBFCKPT1); v4 is the
+/// binary TBFCKPT2 encoding of the same fields and the only version this
+/// build reads or writes.
 struct ReplayCheckpoint {
-  int version = 3;
+  int version = 4;
 
   // Identity: resume refuses a checkpoint whose trace or configuration
   // does not match the run being resumed.
@@ -113,7 +117,7 @@ std::string SerializeReplayCheckpoint(const ReplayCheckpoint& checkpoint);
 /// \brief Parses and validates (header, CRC, schema) a serialized
 /// checkpoint. Corruption anywhere yields a precise InvalidArgument,
 /// never a crash.
-Result<ReplayCheckpoint> ParseReplayCheckpoint(const std::string& text);
+Result<ReplayCheckpoint> ParseReplayCheckpoint(const std::string& bytes);
 
 /// \brief Atomic write: tmp file + fsync + rename.
 Status WriteReplayCheckpointFile(const ReplayCheckpoint& checkpoint,

@@ -643,7 +643,12 @@ Status ShardedTbfServer::RestoreState(const ShardedServerState& state) {
         ") — fast-forward the engine by re-applying the republish schedule "
         "before restoring");
   }
-  std::lock_guard<std::mutex> pool_lock(pool_mu_);
+  // The documented lock order: every shard mutex ascending, then
+  // pool_mu_ (the order Register/Unregister and the fan-out path use).
+  std::vector<std::unique_lock<std::mutex>> shard_locks;
+  shard_locks.reserve(shards_.size());
+  for (auto& shard : shards_) shard_locks.emplace_back(shard->mu);
+  std::unique_lock<std::mutex> pool_lock(pool_mu_);
   if (!workers_.empty()) {
     return Status::FailedPrecondition(
         "RestoreState requires a freshly created engine");
@@ -673,7 +678,6 @@ Status ShardedTbfServer::RestoreState(const ShardedServerState& state) {
     worker.index_id = w.index_id;
     worker.shard = w.shard;
     Shard& shard = *shards_[static_cast<size_t>(w.shard)];
-    std::lock_guard<std::mutex> shard_lock(shard.mu);
     if (packed_) {
       worker.code = w.code;
       shard.index.Insert(w.code, w.index_id);
@@ -686,7 +690,9 @@ Status ShardedTbfServer::RestoreState(const ShardedServerState& state) {
   assigned_tasks_.store(static_cast<size_t>(state.assigned_tasks),
                         std::memory_order_relaxed);
   available_metric_->Set(static_cast<int64_t>(state.workers.size()));
-  if (ledger_ != nullptr) {
+  pool_lock.unlock();
+  shard_locks.clear();
+  if (ledger_ != nullptr) {  // budget_mu_ is only ever held alone
     std::lock_guard<std::mutex> lock(budget_mu_);
     TBF_RETURN_NOT_OK(ledger_->RestoreState(*state.ledger));
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <utility>
 
@@ -12,6 +11,7 @@
 #endif
 
 #include "common/atomic_file.h"
+#include "common/byte_codec.h"
 #include "common/fault.h"
 
 namespace tbf {
@@ -32,126 +32,6 @@ double MonotonicSeconds() {
       .count();
 }
 
-// ---- little-endian byte helpers ------------------------------------------
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) {
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-  out->append(buf, 4);  // one append, not four push_backs (hot path)
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) {
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-  out->append(buf, 8);
-}
-
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutF64(std::string* out, double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-void PutStr(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s.data(), s.size());
-}
-
-void PutPath(std::string* out, const LeafPath& p) {
-  PutU32(out, static_cast<uint32_t>(p.size()));
-  for (const char16_t d : p) {
-    PutU8(out, static_cast<uint8_t>(d & 0xFF));
-    PutU8(out, static_cast<uint8_t>((d >> 8) & 0xFF));
-  }
-}
-
-// Bounds-checked little-endian reader over one payload.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view data) : data_(data) {}
-
-  Result<uint8_t> U8() {
-    if (pos_ + 1 > data_.size()) return Short("u8");
-    return static_cast<uint8_t>(data_[pos_++]);
-  }
-  Result<uint32_t> U32() {
-    if (pos_ + 4 > data_.size()) return Short("u32");
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  Result<uint64_t> U64() {
-    if (pos_ + 8 > data_.size()) return Short("u64");
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-  Result<int64_t> I64() {
-    TBF_ASSIGN_OR_RETURN(uint64_t v, U64());
-    return static_cast<int64_t>(v);
-  }
-  Result<double> F64() {
-    TBF_ASSIGN_OR_RETURN(uint64_t bits, U64());
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  Result<std::string> Str() {
-    TBF_ASSIGN_OR_RETURN(uint32_t len, U32());
-    if (pos_ + len > data_.size()) return Short("string body");
-    std::string s(data_.substr(pos_, len));
-    pos_ += len;
-    return s;
-  }
-  Result<LeafPath> Path() {
-    TBF_ASSIGN_OR_RETURN(uint32_t len, U32());
-    if (pos_ + static_cast<size_t>(len) * 2 > data_.size()) {
-      return Short("leaf path body");
-    }
-    LeafPath p;
-    p.reserve(len);
-    for (uint32_t i = 0; i < len; ++i) {
-      const auto lo = static_cast<unsigned char>(data_[pos_ + 2 * i]);
-      const auto hi = static_cast<unsigned char>(data_[pos_ + 2 * i + 1]);
-      p.push_back(static_cast<char16_t>(lo | (hi << 8)));
-    }
-    pos_ += static_cast<size_t>(len) * 2;
-    return p;
-  }
-  bool AtEnd() const { return pos_ == data_.size(); }
-  size_t pos() const { return pos_; }
-
- private:
-  Status Short(const char* what) const {
-    return Status::InvalidArgument(std::string("wal record: short read (") +
-                                   what + " at byte " + std::to_string(pos_) +
-                                   ")");
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
 // Flags byte of dispatch records.
 constexpr uint8_t kFlagPacked = 1 << 0;
 constexpr uint8_t kFlagHasEpsilon = 1 << 1;
@@ -159,11 +39,11 @@ constexpr uint8_t kFlagForced = 1 << 2;
 constexpr uint8_t kFlagHasWorker = 1 << 3;
 constexpr uint8_t kFlagMissed = 1 << 4;
 
-void PutOutcome(std::string* out, const WalOutcome& o) {
-  PutU32(out, static_cast<uint32_t>(o.status_code));
-  PutStr(out, o.message);
-  PutF64(out, o.epsilon_charged);
-  PutU8(out, o.budget_denied);
+void WriteOutcome(ByteWriter& w, const WalOutcome& o) {
+  w.U32(static_cast<uint32_t>(o.status_code));
+  w.Str(o.message);
+  w.F64(o.epsilon_charged);
+  w.U8(o.budget_denied);
 }
 
 Status ReadOutcome(ByteReader* r, WalOutcome* o) {
@@ -189,73 +69,73 @@ std::string EncodeWalRecord(const WalRecord& record) {
   return out;
 }
 
-void EncodeWalRecordTo(const WalRecord& record, std::string* out_ptr) {
-  std::string& out = *out_ptr;
-  PutU8(&out, static_cast<uint8_t>(record.kind));
-  PutU64(&out, record.lsn);
+void EncodeWalRecordTo(const WalRecord& record, std::string* out) {
+  ByteWriter w(out);
+  w.U8(static_cast<uint8_t>(record.kind));
+  w.U64(record.lsn);
   switch (record.kind) {
     case WalRecordKind::kSegmentHeader:
-      PutU32(&out, record.format_version);
-      PutU64(&out, record.segment_seq);
-      PutU32(&out, record.identity.trace_fingerprint);
-      PutU32(&out, static_cast<uint32_t>(record.identity.num_shards));
-      PutF64(&out, record.identity.epoch_seconds);
-      PutU64(&out, record.identity.server_seed);
-      PutU64(&out, record.identity.obfuscation_seed);
+      w.U32(record.format_version);
+      w.U64(record.segment_seq);
+      w.U32(record.identity.trace_fingerprint);
+      w.U32(static_cast<uint32_t>(record.identity.num_shards));
+      w.F64(record.identity.epoch_seconds);
+      w.U64(record.identity.server_seed);
+      w.U64(record.identity.obfuscation_seed);
       break;
     case WalRecordKind::kEpochBegin:
-      PutI64(&out, record.epoch);
-      PutU64(&out, record.begin_index);
-      PutU64(&out, record.arrivals_obfuscated);
-      PutI64(&out, record.next_task_slot);
+      w.I64(record.epoch);
+      w.U64(record.begin_index);
+      w.U64(record.arrivals_obfuscated);
+      w.I64(record.next_task_slot);
       break;
     case WalRecordKind::kWorkerArrival:
     case WalRecordKind::kTaskArrival: {
-      PutU64(&out, record.event_index);
-      PutStr(&out, record.id);
+      w.U64(record.event_index);
+      w.Str(record.id);
       uint8_t flags = 0;
       if (record.packed) flags |= kFlagPacked;
       if (record.has_epsilon) flags |= kFlagHasEpsilon;
       if (record.outcome.forced) flags |= kFlagForced;
       if (record.outcome.has_worker) flags |= kFlagHasWorker;
-      PutU8(&out, flags);
+      w.U8(flags);
       if (record.packed) {
-        PutU64(&out, record.code);
+        w.U64(record.code);
       } else {
-        PutPath(&out, record.digits);
+        w.Path(record.digits);
       }
-      if (record.has_epsilon) PutF64(&out, record.declared_epsilon);
-      PutOutcome(&out, record.outcome);
+      if (record.has_epsilon) w.F64(record.declared_epsilon);
+      WriteOutcome(w, record.outcome);
       if (record.kind == WalRecordKind::kTaskArrival) {
-        PutI64(&out, record.task_slot);
-        if (record.outcome.has_worker) PutStr(&out, record.outcome.worker);
-        PutF64(&out, record.outcome.tree_distance);
+        w.I64(record.task_slot);
+        if (record.outcome.has_worker) w.Str(record.outcome.worker);
+        w.F64(record.outcome.tree_distance);
       }
       break;
     }
     case WalRecordKind::kWorkerDeparture: {
-      PutU64(&out, record.event_index);
-      PutStr(&out, record.id);
-      PutU8(&out, record.missed ? kFlagMissed : 0);
+      w.U64(record.event_index);
+      w.Str(record.id);
+      w.U8(record.missed ? kFlagMissed : 0);
       break;
     }
     case WalRecordKind::kQuarantine:
-      PutU64(&out, record.event_index);
-      PutStr(&out, record.id);
-      PutStr(&out, record.cause);
+      w.U64(record.event_index);
+      w.Str(record.id);
+      w.Str(record.cause);
       break;
     case WalRecordKind::kStreamFault:
-      PutU64(&out, record.event_index);
-      PutU8(&out, record.fault_kind);
+      w.U64(record.event_index);
+      w.U8(record.fault_kind);
       break;
     case WalRecordKind::kRepublish:
-      PutU64(&out, record.tree_epoch);
+      w.U64(record.tree_epoch);
       break;
   }
 }
 
 Result<WalRecord> DecodeWalRecord(std::string_view payload) {
-  ByteReader r(payload);
+  ByteReader r(payload, "wal record: short read");
   WalRecord rec;
   TBF_ASSIGN_OR_RETURN(uint8_t kind, r.U8());
   if (kind > static_cast<uint8_t>(WalRecordKind::kRepublish)) {
@@ -353,8 +233,9 @@ Result<WalRecord> DecodeWalRecord(std::string_view payload) {
 }
 
 void AppendWalFrame(std::string* out, std::string_view payload) {
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  PutU32(out, Crc32(payload));
+  ByteWriter w(out);
+  w.U32(static_cast<uint32_t>(payload.size()));
+  w.U32(Crc32(payload));
   out->append(payload.data(), payload.size());
 }
 
@@ -392,15 +273,8 @@ SegmentScan ScanSegmentBytes(const std::string& blob) {
           " trailing bytes)");
       break;
     }
-    uint32_t len = 0;
-    uint32_t crc = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<uint32_t>(static_cast<unsigned char>(blob[pos + i]))
-             << (8 * i);
-      crc |= static_cast<uint32_t>(
-                 static_cast<unsigned char>(blob[pos + 4 + i]))
-             << (8 * i);
-    }
+    const uint32_t len = LoadLE<uint32_t>(blob.data() + pos);
+    const uint32_t crc = LoadLE<uint32_t>(blob.data() + pos + 4);
     if (len > kMaxWalPayload) {
       bad("frame length " + std::to_string(len) + " exceeds the " +
           std::to_string(kMaxWalPayload) + "-byte cap");
@@ -698,14 +572,9 @@ Status WalWriter::Append(WalRecord* record) {
   EncodeWalRecordTo(*record, &pending_);
   const std::string_view payload(pending_.data() + base + 8,
                                  pending_.size() - base - 8);
-  char header[8];
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  const uint32_t crc = Crc32(payload);
-  for (int i = 0; i < 4; ++i) {
-    header[i] = static_cast<char>((len >> (8 * i)) & 0xFFu);
-    header[4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFFu);
-  }
-  std::memcpy(pending_.data() + base, header, 8);
+  ByteWriter frame(&pending_);
+  frame.PatchU32(base, static_cast<uint32_t>(payload.size()));
+  frame.PatchU32(base + 4, Crc32(payload));
   const size_t frame_bytes = pending_.size() - base;
 
   const Status injected = TBF_FAULT_INJECT_AT("wal.append", record->lsn);

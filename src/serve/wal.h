@@ -20,12 +20,13 @@
 //   frame   := <len:u32> <crc:u32> <payload: len bytes>
 //   payload := <kind:u8> <lsn:u64> <kind-specific fields>
 //
-// All integers are little-endian; doubles are IEEE-754 bit patterns
-// (u64); strings are <len:u32><bytes>; leaf paths are <len:u32> u16
-// digits. The CRC-32 (IEEE reflected, zlib/binascii-compatible, the same
-// Crc32 as checkpoints and snapshots) covers the payload bytes, so
-// tools/check_wal.py can validate a segment with only the Python
-// standard library. The first record of every segment is a
+// Fields use the byte codec shared with checkpoints and snapshots
+// (common/byte_codec.h): little-endian integers, doubles as IEEE-754 bit
+// patterns (u64), strings as <len:u32><bytes>, leaf paths as <len:u32>
+// u16 digits. The CRC-32 (IEEE reflected, zlib/binascii-compatible, the
+// one Crc32 of common/atomic_file.h) covers the payload bytes, so
+// tools/check_wal.py validates segments — and the checkpoints beside
+// them — with only the Python standard library. The first record of every segment is a
 // kSegmentHeader carrying the format version, the segment sequence
 // number, and the run's identity (trace fingerprint, shard count, epoch
 // length, seeds) so recovery can refuse a journal that belongs to a

@@ -9,7 +9,7 @@
 //
 // CI hooks: TBF_CHAOS_SEED pins the seeded sweep to one seed per job;
 // TBF_CHAOS_CHECKPOINT_DIR makes the sweep leave its checkpoint files
-// behind as artifacts for tools/check_checkpoint.py to validate.
+// behind as artifacts for tools/check_wal.py to validate.
 
 #include <gtest/gtest.h>
 
@@ -325,7 +325,7 @@ TEST(ChaosReplayTest, SeededSweepSurvivesAndBalances) {
   // CI drives this with TBF_CHAOS_SEED=<seed> (three fixed seeds, one per
   // matrix entry); unset, it sweeps a built-in trio. When
   // TBF_CHAOS_CHECKPOINT_DIR is set the checkpoints stay behind for
-  // tools/check_checkpoint.py.
+  // tools/check_wal.py.
   std::vector<uint64_t> seeds = {101, 202, 303};
   if (const char* env = std::getenv("TBF_CHAOS_SEED")) {
     seeds = {static_cast<uint64_t>(std::strtoull(env, nullptr, 10))};

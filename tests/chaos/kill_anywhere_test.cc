@@ -12,8 +12,8 @@
 //
 // CI hooks: TBF_CHAOS_SEED pins the drill to one seed per job;
 // TBF_CHAOS_CHECKPOINT_DIR makes the last kill of each seed leave its
-// recovered durable directory behind for tools/check_wal.py and
-// tools/check_checkpoint.py to validate as artifacts.
+// recovered durable directory (journal and checkpoints) behind for
+// tools/check_wal.py to validate as artifacts.
 
 #include <gtest/gtest.h>
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <random>
 #include <string>
 
 namespace tbf {
@@ -46,11 +47,33 @@ TEST(FingerprintTest, SeesEveryFieldAndNeverFails) {
   EXPECT_EQ(fp1, fp2);  // deterministic even for NaN payloads
 }
 
+TEST(FingerprintTest, ValueIsPinned) {
+  // Journals and checkpoints carry this value as the run identity, so the
+  // CRC input (region, count, then per event kind, time, id length, id,
+  // location, all little-endian) must never change.
+  EventTrace trace;
+  trace.region = BBox::Square(100);
+  const char* ids[] = {"w1", "t1", "w1", ""};
+  const EventKind kinds[] = {EventKind::kWorkerArrival,
+                             EventKind::kTaskArrival,
+                             EventKind::kWorkerDeparture,
+                             EventKind::kTaskArrival};
+  for (int i = 0; i < 4; ++i) {
+    TimedEvent e;
+    e.kind = kinds[i];
+    e.time = 0.25 * i - 1.0;
+    e.id = ids[i];
+    e.location = Point{3.5 * i, 100.0 - 7.25 * i};
+    trace.events.push_back(e);
+  }
+  EXPECT_EQ(FingerprintEventTrace(trace), 0xE6F61E87u);
+}
+
 ReplayCheckpoint MakeTrickyCheckpoint() {
   ReplayCheckpoint c;
   c.trace_fingerprint = 0xDEADBEEF;
   c.num_shards = 4;
-  c.epoch_seconds = 0.1;  // not exactly representable — hexfloat must hold it
+  c.epoch_seconds = 0.1;  // not exactly representable — bits must survive
   c.server_seed = 7;
   c.obfuscation_seed = 11;
   c.next_event = 42;
@@ -80,7 +103,7 @@ ReplayCheckpoint MakeTrickyCheckpoint() {
   assigned.task_id = "t2";
   assigned.worker = "worker\nwith\tcontrol";
   assigned.reported_tree_distance =
-      std::numeric_limits<double>::infinity();  // hexfloat handles inf
+      std::numeric_limits<double>::infinity();  // f64 bits carry inf
   c.task_outcomes.push_back(assigned);
 
   c.quarantined_events.push_back(
@@ -90,7 +113,7 @@ ReplayCheckpoint MakeTrickyCheckpoint() {
 
   c.server.packed = true;
   c.server.assigned_tasks = 5;
-  c.server.rng_state = "7 1234 5678 90";  // spaces survive escaping
+  c.server.rng_state = "7 1234 5678 90";  // spaces survive
   c.server.worker_by_index_id = {"w0", "", "w2"};
   c.server.free_index_ids = {1};
   ShardedServerState::Worker w;
@@ -215,6 +238,112 @@ TEST(CheckpointTest, DetectsCorruptionPrecisely) {
   // Empty / garbage inputs.
   EXPECT_FALSE(ParseReplayCheckpoint("").ok());
   EXPECT_FALSE(ParseReplayCheckpoint("not a checkpoint at all").ok());
+}
+
+// --- payload surgery: the decoder itself, behind a valid CRC ------------
+
+std::string PayloadOf(const std::string& framed) {
+  const size_t nl = framed.find('\n');
+  EXPECT_NE(nl, std::string::npos);
+  return framed.substr(nl + 1);
+}
+
+std::string Reframe(const std::string& payload) {
+  return FrameCrcPayload("TBFCKPT2", payload);
+}
+
+// Payload layout up to the first vector: version u32, trace_fp u32,
+// num_shards i32, epoch_seconds f64, two seeds u64, cursor (3 x 8),
+// wal_next_lsn u64, 13 report counters u64, then the epoch count u64.
+constexpr size_t kOffVersion = 0;
+constexpr size_t kOffEpochCount = 4 + 4 + 4 + 8 + 16 + 24 + 8 + 13 * 8;
+
+void PatchU64(std::string* payload, size_t off, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    (*payload)[off + static_cast<size_t>(i)] =
+        static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
+}
+
+void ExpectRejected(const std::string& bytes, const std::string& substring) {
+  auto parsed = ParseReplayCheckpoint(bytes);
+  ASSERT_FALSE(parsed.ok()) << "expected error containing '" << substring
+                            << "'";
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find(substring), std::string::npos)
+      << parsed.status();
+}
+
+TEST(CheckpointTest, LayoutOffsetsMatchTheEncoder) {
+  const std::string payload =
+      PayloadOf(SerializeReplayCheckpoint(MakeTrickyCheckpoint()));
+  EXPECT_EQ(static_cast<unsigned char>(payload[kOffVersion]), 4u);
+  EXPECT_EQ(static_cast<unsigned char>(payload[kOffEpochCount]), 1u);
+  for (size_t i = 1; i < 8; ++i) EXPECT_EQ(payload[kOffEpochCount + i], 0);
+}
+
+TEST(CheckpointTest, RandomPayloadMutationsNeverCrashTheDecoder) {
+  // Re-framing with a fresh CRC hands each mutation to the decoder rather
+  // than the CRC check: it must decode to a checkpoint or refuse with
+  // InvalidArgument, never crash or over-allocate (the ASan job runs this).
+  const std::string payload =
+      PayloadOf(SerializeReplayCheckpoint(MakeTrickyCheckpoint()));
+  std::mt19937 prng(20261017);
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::string mutated = payload;
+    const size_t pos = prng() % mutated.size();
+    char flip = static_cast<char>(prng() % 256);
+    while (flip == mutated[pos]) flip = static_cast<char>(prng() % 256);
+    mutated[pos] = flip;
+    auto parsed = ParseReplayCheckpoint(Reframe(mutated));
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+          << "byte " << pos << ": " << parsed.status();
+    }
+  }
+}
+
+TEST(CheckpointTest, EveryPayloadPrefixIsRejected) {
+  const std::string payload =
+      PayloadOf(SerializeReplayCheckpoint(MakeTrickyCheckpoint()));
+  for (size_t len = 0; len < payload.size(); ++len) {
+    auto parsed = ParseReplayCheckpoint(Reframe(payload.substr(0, len)));
+    ASSERT_FALSE(parsed.ok()) << "prefix of " << len << " bytes decoded";
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("truncated payload"),
+              std::string::npos)
+        << parsed.status();
+  }
+}
+
+TEST(CheckpointTest, HugeVectorCountFailsWithoutAllocating) {
+  std::string payload =
+      PayloadOf(SerializeReplayCheckpoint(MakeTrickyCheckpoint()));
+  PatchU64(&payload, kOffEpochCount, uint64_t{1} << 60);
+  ExpectRejected(Reframe(payload), "epochs declared need at least");
+  // One more element than the bytes can hold is refused the same way.
+  PatchU64(&payload, kOffEpochCount, payload.size() / (8 * 14) + 1);
+  ExpectRejected(Reframe(payload), "truncated payload");
+}
+
+TEST(CheckpointTest, RejectsTrailingBytes) {
+  std::string payload =
+      PayloadOf(SerializeReplayCheckpoint(MakeTrickyCheckpoint()));
+  payload.append("\0\0\0", 3);
+  ExpectRejected(Reframe(payload), "3 trailing bytes");
+}
+
+TEST(CheckpointTest, RejectsOtherVersions) {
+  std::string payload =
+      PayloadOf(SerializeReplayCheckpoint(MakeTrickyCheckpoint()));
+  payload[kOffVersion] = 3;
+  ExpectRejected(Reframe(payload), "unsupported version 3");
+}
+
+TEST(CheckpointTest, RefusesTextCheckpointsOfOlderBuilds) {
+  const std::string text_payload = "version 3\ntrace_fp 1\n";
+  const std::string old = FrameCrcPayload("TBFCKPT1", text_payload);
+  ExpectRejected(old, "text checkpoint from an older build");
 }
 
 TEST(CheckpointTest, FileRoundTripIsAtomicAndLossless) {
