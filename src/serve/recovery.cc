@@ -65,6 +65,18 @@ std::string DivergenceAt(uint64_t lsn, const std::string& what) {
          ": " + what;
 }
 
+std::string Describe(const WalOutcome& o) {
+  char numbers[96];
+  std::snprintf(numbers, sizeof(numbers),
+                ", distance %.17g, epsilon %.17g, budget verdict %d}",
+                o.tree_distance, o.epsilon_charged,
+                static_cast<int>(o.budget_denied));
+  return "{status " + std::to_string(o.status_code) +
+         (o.message.empty() ? "" : " '" + o.message + "'") +
+         (o.forced ? " (forced)" : "") +
+         (o.has_worker ? ", worker '" + o.worker + "'" : "") + numbers;
+}
+
 }  // namespace
 
 std::string ReplayCheckpointFileName(uint64_t ordinal) {
@@ -174,13 +186,66 @@ Result<RecoveredRun> RecoverReplayDir(const std::string& dir,
   return run;
 }
 
+WalOutcome ApplyEvent(ShardedTbfServer* server, WalRecordKind kind,
+                      const std::string& id, const EventReport& report,
+                      std::optional<double> epsilon, const Status& forced,
+                      const EpochBudgetLedger* ledger) {
+  WalOutcome out;
+  if (!forced.ok()) {
+    out.status_code = static_cast<int32_t>(forced.code());
+    out.message = forced.message();
+    out.forced = true;
+    return out;
+  }
+  const EpochBudgetLedger::Totals before =
+      ledger != nullptr ? ledger->totals() : EpochBudgetLedger::Totals{};
+  Status status;
+  switch (kind) {
+    case WalRecordKind::kWorkerArrival:
+      status = report.packed
+                   ? server->RegisterWorker(id, report.code, epsilon)
+                   : server->RegisterWorker(id, *report.path, epsilon);
+      break;
+    case WalRecordKind::kTaskArrival: {
+      Result<DispatchResult> dispatched =
+          report.packed ? server->SubmitTask(id, report.code, epsilon)
+                        : server->SubmitTask(id, *report.path, epsilon);
+      if (!dispatched.ok()) {
+        status = dispatched.status();
+        break;
+      }
+      out.has_worker = dispatched->worker.has_value();
+      if (out.has_worker) out.worker = std::move(*dispatched->worker);
+      out.tree_distance = dispatched->reported_tree_distance;
+      break;
+    }
+    default:
+      status = server->UnregisterWorker(id);
+      break;
+  }
+  if (!status.ok()) {
+    out.status_code = static_cast<int32_t>(status.code());
+    out.message = status.message();
+  }
+  if (ledger != nullptr) {
+    const EpochBudgetLedger::Totals& after = ledger->totals();
+    out.epsilon_charged = after.epsilon_spent - before.epsilon_spent;
+    if (after.denied_epoch > before.denied_epoch) {
+      out.budget_denied = 1;
+    } else if (after.denied_lifetime > before.denied_lifetime) {
+      out.budget_denied = 2;
+    }
+  }
+  return out;
+}
+
 Result<WalReplayResult> ReplayWalSuffix(
     ShardedTbfServer* server, const std::vector<WalRecord>& records,
     size_t suffix_begin,
     const std::vector<std::shared_ptr<const CompleteHst>>& republish_trees,
     obs::MetricRegistry* metrics) {
   WalReplayResult out;
-  RecoveredWindow* window = nullptr;
+  bool in_window = false;
 
   for (size_t i = suffix_begin; i < records.size(); ++i) {
     const WalRecord& rec = records[i];
@@ -212,111 +277,49 @@ Result<WalReplayResult> ReplayWalSuffix(
         break;
       }
 
-      case WalRecordKind::kEpochBegin: {
-        out.windows.push_back(RecoveredWindow{});
-        window = &out.windows.back();
-        window->epoch = rec.epoch;
-        window->begin_index = rec.begin_index;
-        window->arrivals_obfuscated = rec.arrivals_obfuscated;
-        window->next_task_slot = rec.next_task_slot;
-        window->epoch_begun = true;
+      case WalRecordKind::kEpochBegin:
+        in_window = true;
         TBF_RETURN_NOT_OK(server->BeginEpoch(rec.epoch));
         break;
-      }
 
       case WalRecordKind::kQuarantine:
-      case WalRecordKind::kStreamFault: {
-        if (window == nullptr) {
-          return Status::Internal(
-              DivergenceAt(rec.lsn,
-                           "stage-1 record before any epoch-begin marker — "
-                           "the journal suffix does not start at a window "
-                           "boundary"));
-        }
-        ++window->stage1_records;
-        break;
-      }
-
+      case WalRecordKind::kStreamFault:
       case WalRecordKind::kWorkerArrival:
       case WalRecordKind::kTaskArrival:
       case WalRecordKind::kWorkerDeparture: {
-        if (window == nullptr) {
+        if (!in_window) {
           return Status::Internal(
               DivergenceAt(rec.lsn,
-                           "dispatch record before any epoch-begin marker — "
+                           "event record before any epoch-begin marker — "
                            "the journal suffix does not start at a window "
                            "boundary"));
         }
-        // Forced records never reached the engine originally; re-applying
-        // them would fork ledger history.
-        if (!rec.outcome.forced) {
-          const std::optional<double> epsilon =
-              rec.has_epsilon ? std::optional<double>(rec.declared_epsilon)
-                              : std::nullopt;
-          if (rec.kind == WalRecordKind::kWorkerArrival) {
-            const Status applied =
-                rec.packed
-                    ? server->RegisterWorker(rec.id,
-                                             static_cast<LeafCode>(rec.code),
-                                             epsilon)
-                    : server->RegisterWorker(rec.id, rec.digits, epsilon);
-            if (static_cast<int32_t>(applied.code()) !=
-                rec.outcome.status_code) {
-              return Status::Internal(DivergenceAt(
-                  rec.lsn, "worker '" + rec.id + "' registration returned " +
-                               applied.ToString() + " but the journal "
-                               "recorded status code " +
-                               std::to_string(rec.outcome.status_code)));
-            }
-          } else if (rec.kind == WalRecordKind::kTaskArrival) {
-            const Result<DispatchResult> dispatched =
-                rec.packed
-                    ? server->SubmitTask(rec.id,
-                                         static_cast<LeafCode>(rec.code),
-                                         epsilon)
-                    : server->SubmitTask(rec.id, rec.digits, epsilon);
-            if (static_cast<int32_t>(dispatched.status().code()) !=
-                rec.outcome.status_code) {
-              return Status::Internal(DivergenceAt(
-                  rec.lsn, "task '" + rec.id + "' submission returned " +
-                               dispatched.status().ToString() +
-                               " but the journal recorded status code " +
-                               std::to_string(rec.outcome.status_code)));
-            }
-            if (dispatched.ok()) {
-              const bool has_worker = dispatched->worker.has_value();
-              if (has_worker != rec.outcome.has_worker ||
-                  (has_worker && *dispatched->worker != rec.outcome.worker)) {
-                return Status::Internal(DivergenceAt(
-                    rec.lsn,
-                    "task '" + rec.id + "' was assigned '" +
-                        (has_worker ? *dispatched->worker : "<none>") +
-                        "' but the journal recorded '" +
-                        (rec.outcome.has_worker ? rec.outcome.worker
-                                                : "<none>") +
-                        "'"));
-              }
-              if (dispatched->reported_tree_distance !=
-                  rec.outcome.tree_distance) {
-                return Status::Internal(DivergenceAt(
-                    rec.lsn, "task '" + rec.id + "' tree distance differs "
-                             "from the journaled value"));
-              }
-            }
-          } else {  // kWorkerDeparture — on disk only the missed flag
-            const Status applied = server->UnregisterWorker(rec.id);
-            if (applied.ok() == rec.missed) {
-              return Status::Internal(DivergenceAt(
-                  rec.lsn, "worker '" + rec.id + "' departure " +
-                               (applied.ok() ? "succeeded" : "missed") +
-                               " but the journal recorded the opposite"));
-            }
-          }
+        if (rec.kind == WalRecordKind::kQuarantine ||
+            rec.kind == WalRecordKind::kStreamFault) {
+          break;  // report-level bookkeeping, no engine state
         }
-        window->dispatched.push_back(rec);
-        window->epsilon_charged += rec.outcome.epsilon_charged;
-        if (rec.outcome.budget_denied == 1) ++window->denied_epoch;
-        if (rec.outcome.budget_denied == 2) ++window->denied_lifetime;
+        const Status forced =
+            rec.outcome.forced
+                ? Status(static_cast<StatusCode>(rec.outcome.status_code),
+                         rec.outcome.message)
+                : Status::OK();
+        const WalOutcome applied = ApplyEvent(
+            server, rec.kind, rec.id,
+            EventReport{rec.packed, static_cast<LeafCode>(rec.code),
+                        &rec.digits},
+            rec.has_epsilon ? std::optional<double>(rec.declared_epsilon)
+                            : std::nullopt,
+            forced, server->ledger());
+        const bool departure = rec.kind == WalRecordKind::kWorkerDeparture;
+        if (departure ? (applied.status_code != 0) != rec.missed
+                      : !(applied == rec.outcome)) {
+          return Status::Internal(DivergenceAt(
+              rec.lsn, "event '" + rec.id + "' replayed as " +
+                           Describe(applied) + " but the journal recorded " +
+                           (departure ? (rec.missed ? "a missed departure"
+                                                    : "a departure")
+                                      : Describe(rec.outcome))));
+        }
         ++out.recovered_events;
         break;
       }

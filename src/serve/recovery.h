@@ -15,16 +15,18 @@
 //      record-precise report), cross-checks the journal identity against
 //      the checkpoint, and locates the replay suffix: the first journal
 //      record with lsn >= the checkpoint's wal_next_lsn.
-//   2. The caller restores the checkpoint into a fresh ShardedTbfServer
-//      (the existing resume path), then ReplayWalSuffix re-applies the
-//      journal suffix through the engine. Each dispatched record carries
-//      the outcome the original run observed; the replayed outcome must
-//      match field-for-field or recovery fails with a journal/state
-//      divergence error rather than silently forking history.
-//   3. ReplayWalSuffix also reconstructs, per event window touched by the
-//      suffix, what the window had already completed (stage-1 quarantine
-//      records, dispatched events, ledger charges) so the replay loop can
-//      re-enter the window and skip exactly the journaled work.
+//   2. RunEventReplay (ReplayOptions::recover) restores the checkpoint
+//      into a fresh ShardedTbfServer and re-runs its one loop from the
+//      checkpoint's cursor, with the journal suffix as a cursor of
+//      pending records: every record the loop would append must equal the
+//      next pending one (segment headers skipped) or recovery fails with
+//      an Internal divergence error. Once none remain it appends again;
+//      until then checkpoints are suppressed.
+//   3. A dispatched record carries the obfuscated report and the outcome
+//      the original run observed, ledger charge included, so the re-run
+//      reproduces the decision *and* the privacy spend. ReplayWalSuffix
+//      re-applies a suffix from the journal alone, through the same
+//      engine call (ApplyEvent) with the journaled reports.
 //
 // Metrics: tbf_recovery_attempts_total, tbf_recovery_checkpoints_rejected
 // _total, tbf_recovery_io_retries_total, tbf_recovery_replayed_records
@@ -97,46 +99,42 @@ Result<RecoveredRun> RecoverReplayDir(const std::string& dir,
                                       const RecoveryPolicy& policy = {},
                                       obs::MetricRegistry* metrics = nullptr);
 
-/// \brief What the journal proves one event window had already completed
-/// before the crash. The replay loop re-enters the window and skips
-/// exactly this much work (the outcomes below are the journaled ones, so
-/// skipping re-dispatch cannot fork history — and cannot re-spend
-/// privacy budget).
-struct RecoveredWindow {
-  int64_t epoch = 0;
-  uint64_t begin_index = 0;          ///< first trace index of the window
-  uint64_t arrivals_obfuscated = 0;  ///< ForkAt offset at window start
-  int64_t next_task_slot = 0;        ///< report task slot at window start
-  bool epoch_begun = false;  ///< BeginEpoch already applied (via journal)
-  /// Stage-1 (pre-dispatch) records already journaled: quarantines and
-  /// stream-fault bookkeeping, in journal order.
-  size_t stage1_records = 0;
-  /// Dispatched events already journaled (arrival/task/departure records
-  /// with their outcomes), in dispatch order.
-  std::vector<WalRecord> dispatched;
-  /// Ledger deltas the journaled dispatches produced (per window).
-  double epsilon_charged = 0.0;
-  uint64_t denied_epoch = 0;
-  uint64_t denied_lifetime = 0;
+/// \brief An obfuscated report: a packed leaf code, or the digit path when
+/// the tree is too deep for 64-bit codes. Departures carry none.
+struct EventReport {
+  bool packed = true;
+  LeafCode code = 0;
+  const LeafPath* path = nullptr;  ///< path mode only
 };
 
+/// \brief The one engine call of a replayed event, shared by the replay
+/// loop and ReplayWalSuffix: registers (kWorkerArrival), submits
+/// (kTaskArrival) or unregisters (kWorkerDeparture) `id`. A non-OK
+/// `forced` (an injected denial) is returned as a `forced` outcome without
+/// reaching the engine. A non-null `ledger` brackets the call, so the
+/// outcome carries its charge (epsilon_charged, budget_denied); concurrent
+/// callers pass null. A departure's outcome is its unregistration status,
+/// of which the journal keeps only WalRecord::missed.
+WalOutcome ApplyEvent(ShardedTbfServer* server, WalRecordKind kind,
+                      const std::string& id, const EventReport& report,
+                      std::optional<double> epsilon, const Status& forced,
+                      const EpochBudgetLedger* ledger);
+
 struct WalReplayResult {
-  /// Windows the suffix touched, oldest first. The last one may be
-  /// partial (the crash happened inside it).
-  std::vector<RecoveredWindow> windows;
   uint64_t replayed_records = 0;  ///< journal records consumed
   uint64_t recovered_events = 0;  ///< dispatched events re-applied
 };
 
 /// \brief Re-applies `records[suffix_begin..]` through the engine:
-/// BeginEpoch at window markers, registration/submission/unregistration
-/// with the *journaled* obfuscated reports, republishes fast-forwarded
-/// from `republishes` (the run's schedule). Verifies every replayed
-/// outcome against the journaled one; any divergence (status code,
-/// assigned worker, tree distance, ledger charge) is an Internal error —
-/// the journal and the engine disagree and recovery must not guess.
-/// Records whose outcome is `forced` (an injected pre-engine denial)
-/// are counted but not re-applied.
+/// BeginEpoch at window markers, every dispatched record through
+/// ApplyEvent with its *journaled* report, republishes fast-forwarded from
+/// `republish_trees` (the run's schedule). The replayed WalOutcome must
+/// equal the journaled one in every field, ledger charge and verdict
+/// included (a departure: its missed flag), or this fails with an
+/// Internal error naming the record's LSN — recovery must not guess.
+/// Forced records are verified without reaching the engine. An event
+/// record before any epoch-begin marker (a suffix that does not start at
+/// a window boundary) is rejected the same way.
 Result<WalReplayResult> ReplayWalSuffix(
     ShardedTbfServer* server, const std::vector<WalRecord>& records,
     size_t suffix_begin, const std::vector<std::shared_ptr<const CompleteHst>>& republish_trees,

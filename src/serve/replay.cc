@@ -27,6 +27,7 @@ namespace {
 // the obfuscated report and its home lane.
 struct PreparedEvent {
   const TimedEvent* event = nullptr;
+  WalRecordKind kind = WalRecordKind::kWorkerDeparture;  // engine call
   uint64_t event_index = 0;  // absolute index into EventTrace::events
   int report_index = -1;  // into the epoch's obfuscated batch (arrivals)
   int task_slot = -1;     // into ReplayReport::task_outcomes (tasks)
@@ -257,9 +258,13 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
           "checkpoint configuration mismatch (shards, epoch length or "
           "seeds differ from the checkpointed run)");
     }
-    if (ckpt.next_event > n || ckpt.next_task_slot < 0) {
+    if (ckpt.next_event > n || ckpt.next_task_slot < 0 ||
+        static_cast<uint64_t>(ckpt.next_task_slot) !=
+            ckpt.task_outcomes.size()) {
       return Status::InvalidArgument(
-          "checkpoint cursor out of range for this trace");
+          "checkpoint cursor out of range for this trace (next task slot " +
+          std::to_string(ckpt.next_task_slot) + " with " +
+          std::to_string(ckpt.task_outcomes.size()) + " stored outcomes)");
     }
     // Fast-forward the fresh engine through the prefix of the republish
     // schedule the checkpointed run had already applied: RestoreState
@@ -324,11 +329,15 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     TBF_RETURN_NOT_OK(restore_from_checkpoint(ckpt));
   }
 
-  // Durable serving: recover the directory (newest valid checkpoint +
-  // journal-suffix re-apply), then open the journal for appending.
+  // Durable serving: recovery restores the newest valid checkpoint and
+  // keeps the journal suffix past it as pending records, which the loop
+  // re-runs from the checkpoint's cursor (see `journal`); then the journal
+  // opens for appending.
   std::unique_ptr<WalWriter> wal;
-  std::vector<RecoveredWindow> resume_windows;
-  size_t resume_window_idx = 0;
+  std::vector<WalRecord> pending;
+  size_t pending_pos = 0;
+  obs::Counter* replayed_metric = nullptr;
+  obs::Counter* recovered_metric = nullptr;
   std::vector<RetainedCheckpoint> retained;  // valid ckpts, ordinal order
   if (durable) {
     WalIdentity wal_identity;
@@ -354,36 +363,54 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       if (recovered.checkpoint.has_value()) {
         TBF_RETURN_NOT_OK(restore_from_checkpoint(*recovered.checkpoint));
       }
-      std::vector<std::shared_ptr<const CompleteHst>> republish_trees;
-      republish_trees.reserve(options.republishes.size());
-      for (const ReplayRepublish& entry : options.republishes) {
-        republish_trees.push_back(entry.tree);
-      }
-      TBF_ASSIGN_OR_RETURN(
-          WalReplayResult applied,
-          ReplayWalSuffix(server.get(), recovered.wal.records,
-                          recovered.suffix_begin, republish_trees,
-                          &run_metrics));
-      report.recovered_events = applied.recovered_events;
-      resume_windows = std::move(applied.windows);
-      if (!resume_windows.empty()) {
-        // Rewind the cursor to the first suffix window's start: the loop
-        // re-enters it and skips exactly the journaled work.
-        const RecoveredWindow& first = resume_windows.front();
-        begin = static_cast<size_t>(first.begin_index);
-        arrivals_obfuscated = first.arrivals_obfuscated;
-        next_task_slot = static_cast<int>(first.next_task_slot);
-        report.resumed = true;
-      }
-      // The engine's tree epoch counts schedule entries applied (via the
-      // checkpoint fast-forward and/or journaled republish records).
-      next_republish = static_cast<size_t>(server->tree_epoch());
-      report.republishes = server->tree_epoch();
+      pending = std::move(recovered.wal.records);
+      pending_pos = recovered.suffix_begin;
+      replayed_metric =
+          run_metrics.FindOrCreateCounter("tbf_recovery_replayed_records_total");
+      recovered_metric =
+          run_metrics.FindOrCreateCounter("tbf_wal_recovered_events_total");
     }
     TBF_ASSIGN_OR_RETURN(wal, WalWriter::Open(options.durable_dir,
                                               wal_identity, options.wal_fsync,
                                               &run_metrics));
   }
+
+  // The next journaled record the re-run has not reproduced yet, or null
+  // once recovery's pending records are used up. Segment headers carry no
+  // event and are skipped.
+  const auto next_pending = [&]() -> const WalRecord* {
+    while (pending_pos < pending.size() &&
+           pending[pending_pos].kind == WalRecordKind::kSegmentHeader) {
+      ++pending_pos;
+      replayed_metric->Add(1);
+    }
+    return pending_pos < pending.size() ? &pending[pending_pos] : nullptr;
+  };
+  // The one journal step. While recovery's pending records remain, the
+  // record the loop would append must equal the next pending one byte for
+  // byte (report, outcome and ledger charge included); after that it is
+  // appended.
+  const auto journal = [&](WalRecord* rec) -> Status {
+    const WalRecord* logged = next_pending();
+    if (logged == nullptr) return wal->Append(rec);
+    ++pending_pos;
+    replayed_metric->Add(1);
+    rec->lsn = logged->lsn;
+    if (EncodeWalRecord(*rec) != EncodeWalRecord(*logged)) {
+      return Status::Internal(
+          "recovery: journal/state divergence at lsn " +
+          std::to_string(logged->lsn) + ": the re-run's record for event " +
+          std::to_string(rec->event_index) + " differs from the journaled one "
+          "— trace, republish schedule or stream-fault plan changed?");
+    }
+    if (rec->kind == WalRecordKind::kWorkerArrival ||
+        rec->kind == WalRecordKind::kTaskArrival ||
+        rec->kind == WalRecordKind::kWorkerDeparture) {
+      ++report.recovered_events;
+      recovered_metric->Add(1);
+    }
+    return Status::OK();
+  };
 
   WallTimer total_timer;
   uint64_t epochs_completed_this_run = 0;
@@ -408,47 +435,19 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
         WalRecord rec;
         rec.kind = WalRecordKind::kRepublish;
         rec.tree_epoch = server->tree_epoch();
-        TBF_RETURN_NOT_OK(wal->Append(&rec));
+        TBF_RETURN_NOT_OK(journal(&rec));
       }
     }
 
-    // Recovery re-entry: `rw` describes what the journal proved this
-    // window had already completed. The loop recomputes the window from
-    // the trace and skips exactly that much work — re-journaling,
-    // BeginEpoch, and re-dispatch of the journaled prefix.
-    RecoveredWindow* rw = resume_window_idx < resume_windows.size()
-                              ? &resume_windows[resume_window_idx]
-                              : nullptr;
-    if (rw != nullptr &&
-        (rw->epoch != epoch || rw->begin_index != begin ||
-         rw->arrivals_obfuscated != arrivals_obfuscated ||
-         rw->next_task_slot != next_task_slot)) {
-      return Status::Internal(
-          "recovery: journaled window cursor (epoch " +
-          std::to_string(rw->epoch) + ", event " +
-          std::to_string(rw->begin_index) +
-          ") disagrees with the replay loop (epoch " + std::to_string(epoch) +
-          ", event " + std::to_string(begin) +
-          ") — trace or schedule changed since the crash?");
-    }
-    if (wal != nullptr && !(rw != nullptr && rw->epoch_begun)) {
+    if (wal != nullptr) {
       WalRecord rec;
       rec.kind = WalRecordKind::kEpochBegin;
       rec.epoch = epoch;
       rec.begin_index = static_cast<uint64_t>(begin);
       rec.arrivals_obfuscated = arrivals_obfuscated;
       rec.next_task_slot = next_task_slot;
-      TBF_RETURN_NOT_OK(wal->Append(&rec));
+      TBF_RETURN_NOT_OK(journal(&rec));
     }
-    const size_t stage1_skip = rw != nullptr ? rw->stage1_records : 0;
-    size_t stage1_seen = 0;
-    // Journals one stage-1 (pre-dispatch) record, skipping the prefix the
-    // journal already holds from before the crash.
-    const auto journal_stage1 = [&](WalRecord rec) -> Status {
-      const size_t ordinal = stage1_seen++;
-      if (wal == nullptr || ordinal < stage1_skip) return Status::OK();
-      return wal->Append(&rec);
-    };
 
     EpochStats stats;
     stats.epoch = epoch;
@@ -460,20 +459,22 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       quarantined_metric->Add(1);
       report.quarantined_events.push_back(QuarantineRecord{
           static_cast<uint64_t>(i), trace.events[i].id, cause});
+      if (wal == nullptr) return Status::OK();
       WalRecord rec;
       rec.kind = WalRecordKind::kQuarantine;
       rec.event_index = static_cast<uint64_t>(i);
       rec.id = trace.events[i].id;
       rec.cause = std::move(cause);
-      return journal_stage1(std::move(rec));
+      return journal(&rec);
     };
     const auto journal_stream_fault = [&](size_t i,
                                           uint8_t fault_kind) -> Status {
+      if (wal == nullptr) return Status::OK();
       WalRecord rec;
       rec.kind = WalRecordKind::kStreamFault;
       rec.event_index = static_cast<uint64_t>(i);
       rec.fault_kind = fault_kind;
-      return journal_stage1(std::move(rec));
+      return journal(&rec);
     };
 
     // The window's event order, after quarantine and after the armed
@@ -543,15 +544,6 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       }
     }
     if (reorder_deferred) order.push_back(*reorder_deferred);
-    if (stage1_seen < stage1_skip) {
-      return Status::Internal(
-          "recovery: the journal holds " + std::to_string(stage1_skip) +
-          " stage-1 records for epoch " + std::to_string(epoch) +
-          " but the re-run window produced only " +
-          std::to_string(stage1_seen) +
-          " — the event stream is not reproducible (stream-fault plan "
-          "not re-armed?)");
-    }
 
     // Client-side reporting for this window, batched over the pool. The
     // fork offset makes report i of the trace independent of where the
@@ -567,11 +559,13 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       switch (event.kind) {
         case EventKind::kWorkerArrival:
           ++stats.worker_arrivals;
+          item.kind = WalRecordKind::kWorkerArrival;
           item.report_index = static_cast<int>(locations.size());
           locations.push_back(event.location);
           break;
         case EventKind::kTaskArrival:
           ++stats.task_arrivals;
+          item.kind = WalRecordKind::kTaskArrival;
           item.report_index = static_cast<int>(locations.size());
           item.task_slot = next_task_slot++;
           // Duplication faults can mint more task dispatches than the
@@ -589,29 +583,10 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       prepared.push_back(item);
       ++report.processed_events;
     }
-    // Journaled dispatch prefix of a recovered window: those events were
-    // already re-applied to the engine from the journal, so the loop
-    // only reconstructs their report-level bookkeeping below.
-    const size_t dispatch_skip =
-        rw != nullptr ? rw->dispatched.size() : 0;
-    if (dispatch_skip > prepared.size()) {
-      return Status::Internal(
-          "recovery: the journal holds " + std::to_string(dispatch_skip) +
-          " dispatched events for epoch " + std::to_string(epoch) +
-          " but the re-run window prepared only " +
-          std::to_string(prepared.size()) +
-          " — the event stream is not reproducible (stream-fault plan "
-          "not re-armed?)");
-    }
 
     std::vector<LeafCode> code_reports;
     std::vector<LeafPath> path_reports;
-    // A fully journaled window never touches the engine again, so its
-    // obfuscated reports are not needed; the draw stream stays aligned
-    // because report i always forks at offset arrivals_obfuscated + i.
-    const bool skip_obfuscation = dispatch_skip == prepared.size() &&
-                                  rw != nullptr;
-    if (!skip_obfuscation) {
+    {
       obs::ScopedTimer obf_timer(&stats.obfuscate_seconds);
       if (packed) {
         code_reports =
@@ -626,7 +601,7 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       }
     }
     arrivals_obfuscated += locations.size();
-    if (!locations.empty() && !skip_obfuscation) {
+    if (!locations.empty()) {
       // The batched pass's wall time, attributed evenly to its reports
       // (one O(1) RecordN, not one Record per report).
       const double per_report =
@@ -637,207 +612,91 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     }
 
     // Epoch budgets roll over at the window boundary, even across empty
-    // windows (BeginEpoch jumps forward). Recovery already applied this
-    // window's rollover from its journal marker.
-    if (!(rw != nullptr && rw->epoch_begun)) {
-      TBF_RETURN_NOT_OK(server->BeginEpoch(epoch));
-    }
+    // windows (BeginEpoch jumps forward).
+    TBF_RETURN_NOT_OK(server->BeginEpoch(epoch));
 
     // Dispatch. One lane per shard in parallel mode: lanes preserve
     // per-shard event order, the engine's locks linearize the rest.
+    // Journaling is sequential-only (validated above), so only the
+    // journaled path brackets each call with the ledger's totals.
+    const EpochBudgetLedger* event_ledger =
+        wal != nullptr ? server->ledger() : nullptr;
     const auto dispatch_one = [&](const PreparedEvent& item,
                                   LaneStats* lane) -> Status {
       const TimedEvent& event = *item.event;
-      const size_t idx = static_cast<size_t>(item.report_index);
+      const WalRecordKind kind = item.kind;
+      EventReport carried;
       // Forced budget denial ("replay.budget", hit-indexed by absolute
       // trace position): refuse the report before it reaches the engine,
       // exactly as a cap refusal would.
-      Status forced = Status::OK();
-      if (event.kind != EventKind::kWorkerDeparture) {
+      Status forced;
+      if (kind != WalRecordKind::kWorkerDeparture) {
+        const size_t idx = static_cast<size_t>(item.report_index);
+        carried.packed = packed;
+        if (packed) {
+          carried.code = code_reports[idx];
+        } else {
+          carried.path = &path_reports[idx];
+        }
         forced = TBF_FAULT_INJECT_AT("replay.budget", item.event_index);
       }
-      // Journal-after-apply: the record carries the engine's outcome and
-      // the ledger delta this one dispatch produced, so recovery can
-      // replay it without re-deciding (or re-charging) anything.
+      WalOutcome outcome = ApplyEvent(server.get(), kind, event.id, carried,
+                                      declared_epsilon, forced, event_ledger);
+      const StatusCode code = static_cast<StatusCode>(outcome.status_code);
+      switch (kind) {
+        case WalRecordKind::kWorkerArrival:
+          if (outcome.status_code == 0) {
+            ++lane->registered;
+          } else if (code == StatusCode::kResourceExhausted) {
+            ++lane->shed;
+          } else {
+            ++lane->denied;
+          }
+          break;
+        case WalRecordKind::kTaskArrival: {
+          TaskOutcome& task =
+              report.task_outcomes[static_cast<size_t>(item.task_slot)];
+          task.task_id = event.id;
+          if (outcome.status_code == 0) {
+            if (outcome.has_worker) task.worker = outcome.worker;
+            task.reported_tree_distance = outcome.tree_distance;
+            ++(outcome.has_worker ? lane->assigned : lane->unassigned);
+          } else {
+            task.status = Status(code, outcome.message);
+            if (code == StatusCode::kResourceExhausted && !outcome.forced) {
+              ++lane->shed;
+            } else {
+              ++lane->denied;
+            }
+          }
+          break;
+        }
+        default:
+          if (outcome.status_code != 0) ++lane->missed_departures;
+          break;
+      }
+      if (wal == nullptr) return Status::OK();
+      // Journal-after-apply: the record carries the obfuscated report, the
+      // engine's outcome and the ledger delta this one dispatch produced.
       WalRecord rec;
+      rec.kind = kind;
       rec.event_index = item.event_index;
       rec.id = event.id;
-      const EpochBudgetLedger* event_ledger =
-          wal != nullptr ? server->ledger() : nullptr;
-      const EpochBudgetLedger::Totals charged_before =
-          event_ledger != nullptr ? event_ledger->totals()
-                                  : EpochBudgetLedger::Totals{};
-      if (wal != nullptr && event.kind != EventKind::kWorkerDeparture) {
+      if (kind == WalRecordKind::kWorkerDeparture) {
+        rec.missed = outcome.status_code != 0;
+      } else {
         rec.packed = packed;
         if (packed) {
-          rec.code = code_reports[idx];
+          rec.code = carried.code;
         } else {
-          rec.digits = path_reports[idx];
+          rec.digits = *carried.path;
         }
         rec.has_epsilon = declared_epsilon.has_value();
         rec.declared_epsilon = declared_epsilon.value_or(0.0);
-        rec.outcome.forced = !forced.ok();
+        if (kind == WalRecordKind::kTaskArrival) rec.task_slot = item.task_slot;
+        rec.outcome = std::move(outcome);
       }
-      switch (event.kind) {
-        case EventKind::kWorkerArrival: {
-          const Status status =
-              !forced.ok()
-                  ? forced
-                  : (packed ? server->RegisterWorker(event.id,
-                                                     code_reports[idx],
-                                                     declared_epsilon)
-                            : server->RegisterWorker(event.id,
-                                                     path_reports[idx],
-                                                     declared_epsilon));
-          if (status.ok()) {
-            ++lane->registered;
-          } else if (status.code() == StatusCode::kResourceExhausted) {
-            ++lane->shed;
-          } else {
-            ++lane->denied;
-          }
-          rec.kind = WalRecordKind::kWorkerArrival;
-          rec.outcome.status_code = static_cast<int32_t>(status.code());
-          if (!status.ok()) rec.outcome.message = status.message();
-          break;
-        }
-        case EventKind::kTaskArrival: {
-          TaskOutcome& outcome =
-              report.task_outcomes[static_cast<size_t>(item.task_slot)];
-          outcome.task_id = event.id;
-          rec.kind = WalRecordKind::kTaskArrival;
-          rec.task_slot = item.task_slot;
-          if (!forced.ok()) {
-            outcome.status = forced;
-            ++lane->denied;
-            rec.outcome.status_code = static_cast<int32_t>(forced.code());
-            rec.outcome.message = forced.message();
-            break;
-          }
-          Result<DispatchResult> dispatched =
-              packed ? server->SubmitTask(event.id, code_reports[idx],
-                                          declared_epsilon)
-                     : server->SubmitTask(event.id, path_reports[idx],
-                                          declared_epsilon);
-          if (dispatched.ok()) {
-            outcome.worker = dispatched->worker;
-            outcome.reported_tree_distance = dispatched->reported_tree_distance;
-            if (outcome.worker) {
-              ++lane->assigned;
-              rec.outcome.has_worker = true;
-              rec.outcome.worker = *outcome.worker;
-            } else {
-              ++lane->unassigned;
-            }
-            rec.outcome.tree_distance = outcome.reported_tree_distance;
-          } else {
-            outcome.status = dispatched.status();
-            if (outcome.status.code() == StatusCode::kResourceExhausted) {
-              ++lane->shed;
-            } else {
-              ++lane->denied;
-            }
-            rec.outcome.status_code =
-                static_cast<int32_t>(outcome.status.code());
-            rec.outcome.message = outcome.status.message();
-          }
-          break;
-        }
-        case EventKind::kWorkerDeparture: {
-          Status status = server->UnregisterWorker(event.id);
-          if (!status.ok()) ++lane->missed_departures;
-          rec.kind = WalRecordKind::kWorkerDeparture;
-          rec.missed = !status.ok();
-          break;
-        }
-      }
-      if (wal != nullptr) {
-        if (event_ledger != nullptr) {
-          const EpochBudgetLedger::Totals charged = event_ledger->totals();
-          rec.outcome.epsilon_charged =
-              charged.epsilon_spent - charged_before.epsilon_spent;
-          if (charged.denied_epoch > charged_before.denied_epoch) {
-            rec.outcome.budget_denied = 1;
-          } else if (charged.denied_lifetime > charged_before.denied_lifetime) {
-            rec.outcome.budget_denied = 2;
-          }
-        }
-        TBF_RETURN_NOT_OK(wal->Append(&rec));
-      }
-      return Status::OK();
-    };
-
-    // Reconstructs the report-level bookkeeping of one journaled dispatch
-    // (the engine was already advanced by recovery's journal replay) and
-    // verifies the re-run window lines up with the journal.
-    const auto skip_journaled = [&](const PreparedEvent& item,
-                                    const WalRecord& logged,
-                                    LaneStats* lane) -> Status {
-      const TimedEvent& event = *item.event;
-      WalRecordKind want = WalRecordKind::kWorkerDeparture;
-      if (event.kind == EventKind::kWorkerArrival) {
-        want = WalRecordKind::kWorkerArrival;
-      } else if (event.kind == EventKind::kTaskArrival) {
-        want = WalRecordKind::kTaskArrival;
-      }
-      if (logged.kind != want || logged.event_index != item.event_index ||
-          logged.id != event.id) {
-        return Status::Internal(
-            "recovery: re-run window event " +
-            std::to_string(item.event_index) + " ('" + event.id +
-            "') disagrees with the journaled record at lsn " +
-            std::to_string(logged.lsn) +
-            " — the event stream is not reproducible");
-      }
-      const StatusCode logged_code =
-          static_cast<StatusCode>(logged.outcome.status_code);
-      switch (event.kind) {
-        case EventKind::kWorkerArrival:
-          if (logged.outcome.status_code == 0) {
-            ++lane->registered;
-          } else if (logged_code == StatusCode::kResourceExhausted) {
-            ++lane->shed;
-          } else {
-            ++lane->denied;
-          }
-          break;
-        case EventKind::kTaskArrival: {
-          if (logged.task_slot != item.task_slot) {
-            return Status::Internal(
-                "recovery: journaled task slot " +
-                std::to_string(logged.task_slot) +
-                " disagrees with the re-run slot " +
-                std::to_string(item.task_slot) + " at lsn " +
-                std::to_string(logged.lsn));
-          }
-          TaskOutcome& outcome =
-              report.task_outcomes[static_cast<size_t>(item.task_slot)];
-          outcome.task_id = event.id;
-          if (logged.outcome.status_code == 0) {
-            outcome.status = Status::OK();
-            outcome.reported_tree_distance = logged.outcome.tree_distance;
-            if (logged.outcome.has_worker) {
-              outcome.worker = logged.outcome.worker;
-              ++lane->assigned;
-            } else {
-              outcome.worker = std::nullopt;
-              ++lane->unassigned;
-            }
-          } else {
-            outcome.status = Status(logged_code, logged.outcome.message);
-            if (logged_code == StatusCode::kResourceExhausted) {
-              ++lane->shed;
-            } else {
-              ++lane->denied;
-            }
-          }
-          break;
-        }
-        case EventKind::kWorkerDeparture:
-          if (logged.missed) ++lane->missed_departures;
-          break;
-      }
-      return Status::OK();
+      return journal(&rec);
     };
 
     // Ledger totals bracket the dispatch: every charge (and denial)
@@ -850,15 +709,7 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     std::vector<LaneStats> lanes;
     if (!options.parallel_dispatch || options.num_shards == 1) {
       lanes.resize(1);
-      size_t pos = 0;
       for (const PreparedEvent& item : prepared) {
-        if (pos < dispatch_skip) {
-          TBF_RETURN_NOT_OK(
-              skip_journaled(item, rw->dispatched[pos], &lanes[0]));
-          ++pos;
-          continue;
-        }
-        ++pos;
         TBF_RETURN_NOT_OK(dispatch_one(item, &lanes[0]));
       }
     } else {
@@ -922,14 +773,6 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
       stats.denied_lifetime_budget =
           totals.denied_lifetime - totals_before.denied_lifetime;
     }
-    if (rw != nullptr) {
-      // The journaled prefix's charges landed during recovery's journal
-      // replay, before this window's bracket: add them back so the
-      // window's stats match the uninterrupted run.
-      stats.epsilon_spent += rw->epsilon_charged;
-      stats.denied_epoch_budget += rw->denied_epoch;
-      stats.denied_lifetime_budget += rw->denied_lifetime;
-    }
     for (const LaneStats& lane : lanes) {
       report.registered += lane.registered;
       stats.assigned += lane.assigned;
@@ -947,7 +790,6 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     report.dispatch_seconds += stats.dispatch_seconds;
     report.per_epoch.push_back(stats);
     begin = end;
-    if (rw != nullptr) ++resume_window_idx;
 
     ++epochs_completed_this_run;
     const auto build_checkpoint = [&]() -> ReplayCheckpoint {
@@ -995,12 +837,10 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
     // Durable checkpoint: journal barrier first, so wal_next_lsn names a
     // durable journal position; then retention + whole-segment rotation
     // and compaction below the *oldest* retained checkpoint (keeping the
-    // fallback recoverable). Suppressed while earlier recovered windows
-    // are still being re-entered: a checkpoint here would claim journal
-    // coverage of windows whose work is journaled but not yet in this
-    // run's report.
-    if (durable && checkpoint_due &&
-        resume_window_idx >= resume_windows.size()) {
+    // fallback recoverable). Suppressed while recovery's pending records
+    // remain: the writer's next LSN lies past them, so a checkpoint here
+    // would claim journal coverage the loop has not reproduced yet.
+    if (durable && checkpoint_due && next_pending() == nullptr) {
       TBF_RETURN_NOT_OK(wal->Sync());
       ++report.checkpoints_written;
       checkpoint_metric->Add(1);
@@ -1027,12 +867,12 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
         "replay.epoch", static_cast<uint64_t>(report.per_epoch.size() - 1)));
   }
 
-  if (resume_window_idx < resume_windows.size()) {
+  if (const WalRecord* left = next_pending()) {
     return Status::Internal(
-        "recovery: " +
-        std::to_string(resume_windows.size() - resume_window_idx) +
-        " journaled window(s) were never re-entered by the replay loop — "
-        "trace shorter than the journaled run?");
+        "recovery: " + std::to_string(pending.size() - pending_pos) +
+        " journaled record(s) from lsn " + std::to_string(left->lsn) +
+        " were never reproduced by the replay loop — trace shorter than "
+        "the journaled run?");
   }
   // Final journal barrier: everything this run processed is durable
   // before the report is assembled.

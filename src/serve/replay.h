@@ -157,9 +157,9 @@ struct ReplayOptions {
 
   /// Crash-anywhere recovery: before replaying, scan `durable_dir`
   /// (serve/recovery.h) — restore the newest valid checkpoint, repair
-  /// the journal's torn tail, re-apply the journal suffix through the
-  /// engine, and re-enter the interrupted window skipping exactly the
-  /// journaled work. A fresh (empty) directory starts a normal run.
+  /// the journal's torn tail, then re-run the loop from the checkpoint,
+  /// checking every record it would journal against the journal suffix
+  /// until that runs out. A fresh (empty) directory starts a normal run.
   bool recover = false;
 
   /// Export the engine's full final state (worker registry, free-list
@@ -281,7 +281,7 @@ struct ReplayReport {
   uint64_t checkpoints_written = 0;
   /// True when this run resumed from a checkpoint.
   bool resumed = false;
-  /// Journaled events re-applied by crash recovery (0 for fresh runs).
+  /// Journaled events the recovering re-run reproduced (0 for fresh runs).
   uint64_t recovered_events = 0;
   /// Torn journal records dropped by the tail repair during recovery.
   uint64_t wal_truncated_records = 0;

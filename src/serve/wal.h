@@ -7,12 +7,12 @@
 // produced*, before the loop moves on. Together with the periodic
 // checkpoints (serve/checkpoint.h) this closes the durability gap between
 // checkpoints: after a crash anywhere, the recovery supervisor
-// (serve/recovery.h) restores the newest valid checkpoint and replays the
-// journal suffix through the engine, reproducing state field-for-field
+// (serve/recovery.h) restores the newest valid checkpoint and re-runs the
+// replay loop against the journal suffix, reproducing state field-for-field
 // identical to an uninterrupted run. Logging the report (not just the
-// event) matters in a DP system: re-collecting a location to rebuild
-// state would re-spend privacy budget; replaying the logged report spends
-// nothing.
+// event) matters in a DP system: the re-run must re-derive exactly the
+// reports that were released, so recovery releases nothing new, and
+// ReplayWalSuffix can rebuild state from the logged reports alone.
 //
 // On-disk layout. A journal is a directory of segment files
 // `wal-<seq:08>.seg`. Each segment is a stream of CRC-framed records:
@@ -116,6 +116,8 @@ struct WalOutcome {
   /// True when an injected fault refused the report *before* it reached
   /// the engine ("replay.budget"): recovery must not re-apply it either.
   bool forced = false;
+
+  bool operator==(const WalOutcome&) const = default;
 };
 
 /// \brief One journal record — a tagged union over WalRecordKind; only

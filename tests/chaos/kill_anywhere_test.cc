@@ -19,6 +19,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -282,6 +283,115 @@ TEST(KillAnywhereDrill, RecoveryIsFieldForFieldIdentical) {
     }
     fs::remove_all(clean_dir);
   }
+}
+
+// The same drill under stream chaos: poison events quarantined, a seeded
+// "replay.event"/"replay.budget" plan mutating the stream and forcing
+// denials, and a wal.append kill at many LSNs. The resume re-arms the
+// stream plan (its hit indices are absolute trace positions), so the
+// re-run must reproduce the journaled quarantine, stream-fault and forced
+// records exactly.
+TEST(KillAnywhereDrill, RecoveryUnderStreamChaosIsFieldForFieldIdentical) {
+  TbfFramework framework = BuildFramework();
+  EventTrace trace = DrillTrace(404);
+  trace.events[5].id.clear();
+  for (size_t i = trace.events.size() / 2; i < trace.events.size(); ++i) {
+    if (trace.events[i].kind != EventKind::kWorkerDeparture) {
+      trace.events[i].location.x = std::numeric_limits<double>::quiet_NaN();
+      break;
+    }
+  }
+  const fault::FaultPlan stream_plan = fault::FaultPlan::Seeded(
+      31, {"replay.event", "replay.budget"}, 24, trace.events.size());
+  const auto run = [&](const ReplayOptions& options,
+                       const fault::FaultPlan& plan) {
+    fault::ScopedFaultPlan armed(plan);
+    EXPECT_TRUE(armed.armed());
+    return RunEventReplay(framework, trace, options);
+  };
+
+  const std::string clean_dir = ::testing::TempDir() + "/tbf_drill_chaos_clean";
+  fs::remove_all(clean_dir);
+  ReplayOptions clean_options = DrillOptions(clean_dir, 0);
+  clean_options.poison_policy = PoisonPolicy::kQuarantine;
+  auto clean = run(clean_options, stream_plan);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ASSERT_GT(clean->quarantined, 0u);
+  ASSERT_GT(clean->faults_dropped + clean->faults_duplicated +
+                clean->faults_reordered + clean->faults_stalled,
+            0u);
+  auto clean_scan = ScanWalDir(clean_dir, /*repair_torn_tail=*/false);
+  ASSERT_TRUE(clean_scan.ok()) << clean_scan.status().ToString();
+  const uint64_t total_lsns = clean_scan->next_lsn;
+
+  bool replayed_quarantine = false;
+  bool replayed_stream_fault = false;
+  bool replayed_forced = false;
+  const uint64_t kills = 60;
+  for (uint64_t k = 0; k < kills; ++k) {
+    const uint64_t kill_lsn = 1 + k * (total_lsns - 1) / kills;
+    const std::string what = "chaos kill@" + std::to_string(kill_lsn);
+    const std::string dir = ::testing::TempDir() + "/tbf_drill_chaos";
+    fs::remove_all(dir);
+    ReplayOptions options = DrillOptions(dir, static_cast<int>(k));
+    options.poison_policy = PoisonPolicy::kQuarantine;
+
+    fault::FaultPlan kill_plan = stream_plan;
+    fault::FaultSpec kill;
+    kill.site = "wal.append";
+    kill.kind = fault::FaultKind::kFail;
+    kill.code = StatusCode::kAborted;
+    kill.after = kill_lsn;
+    kill.count = 1;
+    kill_plan.faults.push_back(kill);
+    auto died = run(options, kill_plan);
+    if (!died.ok()) {
+      EXPECT_EQ(died.status().code(), StatusCode::kAborted) << what;
+    }
+
+    // What the recovering run will have to reproduce.
+    auto found = RecoverReplayDir(dir);
+    ASSERT_TRUE(found.ok()) << what << ": " << found.status().ToString();
+    for (size_t i = found->suffix_begin; i < found->wal.records.size(); ++i) {
+      const WalRecord& rec = found->wal.records[i];
+      replayed_quarantine |= rec.kind == WalRecordKind::kQuarantine;
+      replayed_stream_fault |= rec.kind == WalRecordKind::kStreamFault;
+      replayed_forced |= rec.outcome.forced;
+    }
+
+    ReplayOptions resume = options;
+    resume.recover = true;
+    auto recovered = run(resume, stream_plan);
+    ASSERT_TRUE(recovered.ok())
+        << what << ": " << recovered.status().ToString();
+    ASSERT_TRUE(recovered->final_state.has_value()) << what;
+    ExpectDeterministicReportEqual(*recovered, *clean, what);
+    EXPECT_EQ(recovered->faults_dropped, clean->faults_dropped) << what;
+    EXPECT_EQ(recovered->faults_duplicated, clean->faults_duplicated) << what;
+    EXPECT_EQ(recovered->faults_reordered, clean->faults_reordered) << what;
+    EXPECT_EQ(recovered->faults_stalled, clean->faults_stalled) << what;
+    ASSERT_EQ(recovered->quarantined_events.size(),
+              clean->quarantined_events.size())
+        << what;
+    for (size_t i = 0; i < clean->quarantined_events.size(); ++i) {
+      EXPECT_EQ(recovered->quarantined_events[i].event_index,
+                clean->quarantined_events[i].event_index)
+          << what;
+      EXPECT_EQ(recovered->quarantined_events[i].cause,
+                clean->quarantined_events[i].cause)
+          << what;
+    }
+    ExpectServerStateEqual(*recovered->final_state, *clean->final_state,
+                           what);
+    ExpectLedgerNeverOverspends(*recovered->final_state, kEpochBudget,
+                                kLifetimeBudget, what);
+    fs::remove_all(dir);
+  }
+  EXPECT_TRUE(replayed_quarantine) << "no replayed suffix held a quarantine";
+  EXPECT_TRUE(replayed_stream_fault)
+      << "no replayed suffix held a stream-fault record";
+  EXPECT_TRUE(replayed_forced) << "no replayed suffix held a forced record";
+  fs::remove_all(clean_dir);
 }
 
 #endif  // TBF_FAULTS_DISABLED

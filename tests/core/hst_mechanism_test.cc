@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <map>
 
 #include "common/math.h"
@@ -310,10 +311,19 @@ TEST(HstMechanismTest, EpsilonConversionUsesTreeScale) {
 
 // Property sweep: Theorem 2 (walk == closed form) and normalization on
 // wider/deeper synthetic trees across epsilon.
+// gtest names a parameter that has no printer by its raw bytes, so every
+// byte must be defined: with only `grid_side` and `epsilon`, the four padding
+// bytes between them held whatever the stack held and the discovered ctest
+// names changed from build to build. `name_tag` fills that gap explicitly; it
+// is not read by the test, and its values keep the names the suite has been
+// listed under.
 struct MechanismSweepParam {
-  int grid_side;
+  int32_t grid_side;
+  int32_t name_tag;
   double epsilon;
 };
+static_assert(sizeof(MechanismSweepParam) == 16,
+              "MechanismSweepParam must have no padding bytes");
 
 class MechanismSweepTest : public testing::TestWithParam<MechanismSweepParam> {};
 
@@ -347,9 +357,12 @@ TEST_P(MechanismSweepTest, WalkMatchesClosedFormOnGridTrees) {
 
 INSTANTIATE_TEST_SUITE_P(
     GridsAndEpsilons, MechanismSweepTest,
-    testing::Values(MechanismSweepParam{3, 0.2}, MechanismSweepParam{3, 1.0},
-                    MechanismSweepParam{5, 0.2}, MechanismSweepParam{5, 0.6},
-                    MechanismSweepParam{8, 0.4}, MechanismSweepParam{8, 1.0}));
+    testing::Values(MechanismSweepParam{3, 0, 0.2},
+                    MechanismSweepParam{3, 3, 1.0},
+                    MechanismSweepParam{5, 0, 0.2},
+                    MechanismSweepParam{5, 0, 0.6},
+                    MechanismSweepParam{8, 0, 0.4},
+                    MechanismSweepParam{8, 3, 1.0}));
 
 }  // namespace
 }  // namespace tbf

@@ -1,15 +1,17 @@
 // Recovery supervisor: newest-valid checkpoint selection with fallback,
 // transient-IO retry with bounded backoff, gap detection, identity
-// cross-checks, snapshot read retry, and an end-to-end crash/recover
-// equivalence smoke test (the full kill-anywhere drill lives in
-// tests/chaos/kill_anywhere_test.cc).
+// cross-checks, journal-suffix divergence checks, snapshot read retry,
+// and an end-to-end crash/recover equivalence smoke test (the full
+// kill-anywhere drill lives in tests/chaos/kill_anywhere_test.cc).
 
 #include "serve/recovery.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -266,6 +268,86 @@ TEST(RecoveryTest, SuffixNotAtWindowBoundaryIsDivergence) {
             std::string::npos);
 }
 
+// One divergence case of ReplayWalSuffix: which journaled record to edit
+// and how.
+struct DivergenceCase {
+  const char* field;
+  std::function<bool(const WalRecord&)> pick;
+  std::function<void(WalRecord*)> edit;
+};
+
+bool IsTask(const WalRecord& r) { return r.kind == WalRecordKind::kTaskArrival; }
+
+TEST(RecoveryTest, SuffixReplayRejectsAnyEditedOutcomeField) {
+  TbfFramework framework = BuildFramework();
+  const std::string dir = FreshDir("divergence");
+  // No checkpoint falls due, so nothing is compacted: the journal holds
+  // the whole budgeted run from lsn 0.
+  ReplayOptions options = DurableOptions(dir);
+  options.checkpoint_every_epochs = 1000;
+  ASSERT_TRUE(RunEventReplay(framework, SmallTrace(), options).ok());
+  auto scan = ScanWalDir(dir, /*repair_torn_tail=*/false);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  const std::vector<WalRecord>& journal = scan->records;
+
+  ShardedServerOptions engine;
+  engine.lifetime_budget = options.lifetime_budget;
+  engine.epoch_budget = options.epoch_budget;
+  engine.seed = options.server_seed;
+  const auto replay = [&](const std::vector<WalRecord>& records) {
+    auto server = ShardedTbfServer::Create(framework.tree_ptr(), engine);
+    EXPECT_TRUE(server.ok());
+    return ReplayWalSuffix(server->get(), records, 0, {});
+  };
+  auto untouched = replay(journal);
+  ASSERT_TRUE(untouched.ok()) << untouched.status().ToString();
+
+  const std::vector<DivergenceCase> cases{
+      {"status code",
+       [](const WalRecord& r) {
+         return r.kind == WalRecordKind::kWorkerArrival &&
+                r.outcome.status_code == 0;
+       },
+       [](WalRecord* r) {
+         r->outcome.status_code =
+             static_cast<int32_t>(StatusCode::kFailedPrecondition);
+       }},
+      {"assigned worker",
+       [](const WalRecord& r) { return IsTask(r) && r.outcome.has_worker; },
+       [](WalRecord* r) { r->outcome.worker += "-edited"; }},
+      {"tree distance",
+       [](const WalRecord& r) { return IsTask(r) && r.outcome.has_worker; },
+       [](WalRecord* r) { r->outcome.tree_distance += 1.0; }},
+      {"epsilon_charged",
+       [](const WalRecord& r) { return r.outcome.epsilon_charged > 0.0; },
+       [](WalRecord* r) { r->outcome.epsilon_charged *= 2.0; }},
+      {"budget_denied",
+       [](const WalRecord& r) {
+         return IsTask(r) && r.outcome.status_code == 0 &&
+                r.outcome.budget_denied == 0;
+       },
+       [](WalRecord* r) { r->outcome.budget_denied = 1; }},
+      {"departure missed flag",
+       [](const WalRecord& r) {
+         return r.kind == WalRecordKind::kWorkerDeparture;
+       },
+       [](WalRecord* r) { r->missed = !r->missed; }},
+  };
+  for (const DivergenceCase& c : cases) {
+    std::vector<WalRecord> edited = journal;
+    auto it = std::find_if(edited.begin(), edited.end(), c.pick);
+    ASSERT_NE(it, edited.end()) << c.field << ": no record to edit";
+    c.edit(&*it);
+    auto replayed = replay(edited);
+    ASSERT_FALSE(replayed.ok()) << c.field << " edit went unnoticed";
+    EXPECT_EQ(replayed.status().code(), StatusCode::kInternal) << c.field;
+    EXPECT_NE(replayed.status().message().find("at lsn " +
+                                               std::to_string(it->lsn) + ":"),
+              std::string::npos)
+        << c.field << ": " << replayed.status().ToString();
+  }
+}
+
 #ifndef TBF_FAULTS_DISABLED
 
 TEST(RecoveryTest, TransientCheckpointReadIsRetriedOnce) {
@@ -431,6 +513,58 @@ TEST(RecoveryTest, CrashMidRunThenRecoverMatchesUninterrupted) {
   ExpectServerStateEqual(*recovered->final_state, *baseline->final_state);
   EXPECT_EQ(recovered->assigned, baseline->assigned);
   EXPECT_EQ(recovered->denied, baseline->denied);
+}
+
+TEST(RecoveryTest, ReRunThatDivergesFromItsJournalIsRefused) {
+  TbfFramework framework = BuildFramework();
+  EventTrace trace = SmallTrace();
+  size_t forced_index = 0;
+  while (trace.events[forced_index].kind == EventKind::kWorkerDeparture) {
+    ++forced_index;
+  }
+  const std::string dir = FreshDir("rerun_divergence");
+  ReplayOptions options = DurableOptions(dir);
+  options.checkpoint_every_epochs = 1000;  // the whole journal is pending
+  {
+    // A forced denial of one early report, then a crash mid-run.
+    fault::FaultPlan plan;
+    fault::FaultSpec deny;
+    deny.site = "replay.budget";
+    deny.kind = fault::FaultKind::kFail;
+    deny.code = StatusCode::kFailedPrecondition;
+    deny.after = forced_index;
+    deny.count = 1;
+    plan.faults.push_back(deny);
+    fault::FaultSpec kill;
+    kill.site = "wal.append";
+    kill.kind = fault::FaultKind::kFail;
+    kill.code = StatusCode::kAborted;
+    kill.after = 120;
+    kill.count = 1;
+    plan.faults.push_back(kill);
+    fault::ScopedFaultPlan armed(plan);
+    auto died = RunEventReplay(framework, trace, options);
+    ASSERT_FALSE(died.ok());
+    EXPECT_EQ(died.status().code(), StatusCode::kAborted);
+  }
+  auto found = RecoverReplayDir(dir);
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  auto forced = std::find_if(
+      found->wal.records.begin(), found->wal.records.end(),
+      [](const WalRecord& r) { return r.outcome.forced; });
+  ASSERT_NE(forced, found->wal.records.end());
+
+  // Resumed without the plan, the re-run admits the report the journal
+  // says was refused: recovery must stop at that record.
+  ReplayOptions resume = options;
+  resume.recover = true;
+  auto recovered = RunEventReplay(framework, trace, resume);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kInternal);
+  EXPECT_NE(recovered.status().message().find(
+                "at lsn " + std::to_string(forced->lsn) + ":"),
+            std::string::npos)
+      << recovered.status().ToString();
 }
 
 #endif  // TBF_FAULTS_DISABLED

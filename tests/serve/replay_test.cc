@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 #include <string>
 
 #include "common/thread_pool.h"
 #include "core/server.h"
 #include "geo/grid.h"
+#include "serve/checkpoint.h"
 #include "workload/synthetic.h"
 #include "workload/trace.h"
 
@@ -334,6 +336,40 @@ TEST(ReplayTest, EventTraceSurvivesCsvRoundTripIntoReplay) {
   for (size_t t = 0; t < direct->task_outcomes.size(); ++t) {
     EXPECT_EQ(direct->task_outcomes[t].worker, via_csv->task_outcomes[t].worker);
   }
+}
+
+TEST(ReplayTest, ResumeRejectsATaskCursorThatDisagreesWithItsOutcomes) {
+  // A CRC-valid checkpoint whose task cursor does not match the outcomes
+  // it stores must be refused, not resumed into a resized outcome table
+  // (or an allocation failure for a cursor near 2^31).
+  TbfFramework framework = BuildFramework();
+  EventTrace trace = SmallTrace();
+  const std::string path = ::testing::TempDir() + "/tbf_replay_cursor.ckpt";
+  ReplayOptions options;
+  options.checkpoint_path = path;
+  options.checkpoint_every_epochs = 4;
+  ASSERT_TRUE(RunEventReplay(framework, trace, options).ok());
+  auto written = ReadReplayCheckpointFile(path);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  ASSERT_LT(written->task_outcomes.size(), 1000u);
+
+  ReplayOptions resume = options;
+  resume.resume_from_checkpoint = true;
+  for (const int64_t slot : {int64_t{1} << 31, int64_t{1000}}) {
+    ReplayCheckpoint bad = *written;
+    bad.next_task_slot = slot;
+    ASSERT_TRUE(WriteReplayCheckpointFile(bad, path).ok());
+    auto resumed = RunEventReplay(framework, trace, resume);
+    ASSERT_FALSE(resumed.ok()) << "next_task_slot " << slot;
+    EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument)
+        << resumed.status().ToString();
+  }
+  // The checkpoint as written still resumes.
+  ASSERT_TRUE(WriteReplayCheckpointFile(*written, path).ok());
+  auto resumed = RunEventReplay(framework, trace, resume);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_TRUE(resumed->resumed);
+  std::remove(path.c_str());
 }
 
 }  // namespace
