@@ -4,10 +4,10 @@
 //   1. The server builds and publishes a complete HST over predefined
 //      points (TbfFramework).
 //   2. Workers obfuscate client-side (batched HST mechanism) and register
-//      with the server in one wave (TbfServer::RegisterWorkers).
+//      with the serving engine (ShardedTbfServer::RegisterWorker).
 //   3. Tasks arrive online, also reporting obfuscated leaves, and are
 //      dispatched to the nearest available worker on the tree
-//      (TbfServer::SubmitTasks).
+//      (ShardedTbfServer::SubmitTask).
 //
 // The snippet in docs/API.md is kept in sync with this file.
 //
@@ -17,9 +17,9 @@
 
 #include "common/cli.h"
 #include "common/thread_pool.h"
-#include "core/server.h"
 #include "core/tbf.h"
 #include "geo/grid.h"
+#include "serve/sharded_server.h"
 
 using namespace tbf;
 
@@ -49,13 +49,14 @@ int main(int argc, char** argv) {
             << " predefined points N=" << framework->tree().num_points()
             << " (logical leaves c^D=" << framework->tree().num_leaves() << ")\n";
 
-  auto server = TbfServer::Create(framework->tree_ptr());
-  if (!server.ok()) {
-    std::cerr << server.status() << "\n";
+  auto created = ShardedTbfServer::Create(framework->tree_ptr());
+  if (!created.ok()) {
+    std::cerr << created.status() << "\n";
     return 1;
   }
+  ShardedTbfServer& server = **created;
 
-  // --- Step 2: workers obfuscate client-side and register in one wave. ---
+  // --- Step 2: workers obfuscate client-side and register. ---
   Rng world(42);
   std::vector<Point> worker_locations;
   for (int w = 0; w < num_workers; ++w) {
@@ -64,15 +65,12 @@ int main(int argc, char** argv) {
   ThreadPool pool;  // batched reporting: item i draws from ForkAt(i)
   std::vector<LeafPath> worker_reports =
       framework->ObfuscateBatch(worker_locations, world.Split(1), &pool);
-  std::vector<LeafReport> registrations;
   for (int w = 0; w < num_workers; ++w) {
-    registrations.push_back({"w" + std::to_string(w),
-                             worker_reports[static_cast<size_t>(w)], {}});
-  }
-  for (const Status& status : server->RegisterWorkers(registrations)) {
+    Status status = server.RegisterWorker(
+        "w" + std::to_string(w), worker_reports[static_cast<size_t>(w)]);
     if (!status.ok()) std::cerr << status << "\n";
   }
-  std::cout << server->available_workers() << " workers available\n";
+  std::cout << server.available_workers() << " workers available\n";
 
   // --- Step 3: tasks arrive online and are dispatched on the tree. ---
   std::vector<Point> task_locations;
@@ -81,32 +79,27 @@ int main(int argc, char** argv) {
   }
   std::vector<LeafPath> task_reports =
       framework->ObfuscateBatch(task_locations, world.Split(2), &pool);
-  std::vector<LeafReport> submissions;
-  for (int t = 0; t < num_tasks; ++t) {
-    submissions.push_back({"t" + std::to_string(t),
-                           task_reports[static_cast<size_t>(t)], {}});
-  }
   double total_true_distance = 0.0;
-  std::vector<BatchDispatchOutcome> outcomes = server->SubmitTasks(submissions);
   for (int t = 0; t < num_tasks; ++t) {
-    const BatchDispatchOutcome& outcome = outcomes[static_cast<size_t>(t)];
-    if (!outcome.status.ok()) {
-      std::cerr << outcome.status << "\n";
+    auto dispatched = server.SubmitTask("t" + std::to_string(t),
+                                        task_reports[static_cast<size_t>(t)]);
+    if (!dispatched.ok()) {
+      std::cerr << dispatched.status() << "\n";
       continue;
     }
     double true_distance = 0.0;
-    if (outcome.result.worker) {
+    if (dispatched->worker) {
       // The server never sees this: true travel cost, for reporting only.
-      int w = std::atoi(outcome.result.worker->c_str() + 1);
+      int w = std::atoi(dispatched->worker->c_str() + 1);
       true_distance = EuclideanDistance(task_locations[static_cast<size_t>(t)],
                                         worker_locations[static_cast<size_t>(w)]);
       total_true_distance += true_distance;
     }
     std::cout << "task " << t << " at " << task_locations[static_cast<size_t>(t)]
               << " -> worker "
-              << (outcome.result.worker ? *outcome.result.worker : "<none>")
+              << (dispatched->worker ? *dispatched->worker : "<none>")
               << " (reported tree distance "
-              << outcome.result.reported_tree_distance
+              << dispatched->reported_tree_distance
               << ", true travel distance " << true_distance << ")\n";
   }
   std::cout << "total true distance: " << total_true_distance << "\n"

@@ -148,20 +148,15 @@ Result<RunMetrics> RunEuclidPipeline(Algorithm algorithm,
 class ServeEngineMatcher {
  public:
   static Result<ServeEngineMatcher> Create(const TbfFramework& framework,
-                                           std::vector<LeafPath> workers,
+                                           const std::vector<LeafPath>& workers,
                                            int num_shards) {
     ShardedServerOptions options;
     options.num_shards = num_shards;
     TBF_ASSIGN_OR_RETURN(
         std::unique_ptr<ShardedTbfServer> server,
         ShardedTbfServer::Create(framework.tree_ptr(), options));
-    std::vector<LeafReport> batch;
-    batch.reserve(workers.size());
     for (size_t w = 0; w < workers.size(); ++w) {
-      batch.push_back({std::to_string(w), std::move(workers[w]), std::nullopt});
-    }
-    for (const Status& status : server->RegisterWorkers(batch)) {
-      TBF_RETURN_NOT_OK(status);
+      TBF_RETURN_NOT_OK(server->RegisterWorker(std::to_string(w), workers[w]));
     }
     return ServeEngineMatcher(std::move(server));
   }
@@ -254,7 +249,7 @@ Result<RunMetrics> RunHstPipeline(Algorithm algorithm,
     // serve/sharded_server.h), so this only changes what is measured.
     TBF_ASSIGN_OR_RETURN(
         ServeEngineMatcher matcher,
-        ServeEngineMatcher::Create(framework, std::move(reported_workers),
+        ServeEngineMatcher::Create(framework, reported_workers,
                                    config.serve_shards));
     metrics.stages.shards = config.serve_shards;
     RunAssignLoop(&matcher, reported_tasks, &metrics);

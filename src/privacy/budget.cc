@@ -21,9 +21,8 @@ int MaxReports(double total_budget, double epsilon_per_report) {
 
 namespace {
 
-// Cap admission with a relative tolerance, shared by both ledgers so
-// they agree on spends that reach a cap exactly despite representation
-// error at exact multiples.
+// Cap admission with a relative tolerance, so spends that reach a cap
+// exactly are admitted despite representation error at exact multiples.
 inline bool FitsCap(double spent, double epsilon, double cap) {
   return spent + epsilon <= cap * (1.0 + 1e-12);
 }
@@ -36,39 +35,6 @@ inline bool ChargeableEpsilon(double epsilon) {
 }
 
 }  // namespace
-
-PrivacyBudgetLedger::PrivacyBudgetLedger(double lifetime_budget)
-    : lifetime_budget_(lifetime_budget) {
-  TBF_CHECK(lifetime_budget > 0.0) << "lifetime budget must be positive";
-}
-
-Status PrivacyBudgetLedger::Charge(const std::string& user, double epsilon) {
-  if (!ChargeableEpsilon(epsilon)) {
-    return Status::InvalidArgument("epsilon must be positive and finite");
-  }
-  double& spent = spent_[user];
-  if (!FitsCap(spent, epsilon, lifetime_budget_)) {
-    if (spent == 0.0) spent_.erase(user);  // keep num_users() meaningful
-    return Status::FailedPrecondition("budget exhausted for user " + user);
-  }
-  spent += epsilon;
-  return Status::OK();
-}
-
-double PrivacyBudgetLedger::Spent(const std::string& user) const {
-  auto it = spent_.find(user);
-  return it == spent_.end() ? 0.0 : it->second;
-}
-
-double PrivacyBudgetLedger::Remaining(const std::string& user) const {
-  double rest = lifetime_budget_ - Spent(user);
-  return rest > 0.0 ? rest : 0.0;
-}
-
-bool PrivacyBudgetLedger::CanCharge(const std::string& user, double epsilon) const {
-  return ChargeableEpsilon(epsilon) &&
-         FitsCap(Spent(user), epsilon, lifetime_budget_);
-}
 
 EpochBudgetLedger::EpochBudgetLedger(double epoch_budget,
                                      std::optional<double> lifetime_budget,

@@ -3,15 +3,12 @@
 // The paper analyzes a single report per user. Deployments re-report
 // (drivers move, tasks are reposted); each extra report through an
 // eps-Geo-I mechanism composes additively (sequential composition of
-// differential privacy). Two ledgers implement the resulting admission
-// control:
-//
-//   * PrivacyBudgetLedger — per-user spend against a single lifetime cap.
-//   * EpochBudgetLedger — the serving engine's epoch-aware variant: spend
-//     is additionally rate-limited per event-time epoch, so a user who
-//     burns their per-epoch allowance is refused only until the next
-//     epoch begins (rollover), while an optional lifetime cap still
-//     composes across all epochs.
+// differential privacy). EpochBudgetLedger, the serving engine's ledger,
+// implements the resulting admission control: spend is rate-limited per
+// event-time epoch, so a user who burns their per-epoch allowance is
+// refused only until the next epoch begins (rollover), while an optional
+// lifetime cap composes across all epochs. A lifetime-only ledger is one
+// whose epoch cap is +infinity.
 
 #pragma once
 
@@ -33,37 +30,6 @@ double ComposedEpsilon(double epsilon_per_report, int reports);
 /// \brief Reports permitted under `total_budget` at `epsilon_per_report`
 /// (floor; 0 when a single report already exceeds the budget).
 int MaxReports(double total_budget, double epsilon_per_report);
-
-/// \brief Per-user privacy-spend ledger with a lifetime cap.
-///
-/// Thread-compatible (guard externally if shared across threads).
-class PrivacyBudgetLedger {
- public:
-  /// \param lifetime_budget maximum cumulative epsilon per user (> 0).
-  explicit PrivacyBudgetLedger(double lifetime_budget);
-
-  /// \brief Records a spend of `epsilon` for `user`; fails with
-  /// FailedPrecondition (and records nothing) if the cap would be exceeded.
-  Status Charge(const std::string& user, double epsilon);
-
-  /// \brief Budget already consumed by `user` (0 for unknown users).
-  double Spent(const std::string& user) const;
-
-  /// \brief Budget still available to `user`.
-  double Remaining(const std::string& user) const;
-
-  /// \brief True when a further spend of `epsilon` would be admitted.
-  bool CanCharge(const std::string& user, double epsilon) const;
-
-  double lifetime_budget() const { return lifetime_budget_; }
-
-  /// Number of users with non-zero spend.
-  size_t num_users() const { return spent_.size(); }
-
- private:
-  double lifetime_budget_;
-  std::unordered_map<std::string, double> spent_;
-};
 
 /// \brief Epoch-aware per-user budget ledger.
 ///
@@ -97,7 +63,8 @@ class EpochBudgetLedger {
     Totals totals;
   };
 
-  /// \param epoch_budget maximum epsilon per user within one epoch (> 0).
+  /// \param epoch_budget maximum epsilon per user within one epoch (> 0;
+  ///   +infinity leaves only the lifetime cap).
   /// \param lifetime_budget optional cumulative cap across all epochs
   ///   (> 0, and at least `epoch_budget` to be satisfiable in one epoch —
   ///   smaller values are allowed but make the epoch cap unreachable).

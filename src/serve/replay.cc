@@ -98,34 +98,24 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
 
   const size_t n = trace.events.size();
   const bool quarantining = options.poison_policy == PoisonPolicy::kQuarantine;
-  // Poison handling. kFail keeps the historical contract (and its exact
-  // messages): the first bad event aborts the whole run up front.
-  // kQuarantine pre-scans instead: poison events are marked and carry a
-  // cause, surviving events behave exactly as if the trace never
-  // contained the poison (time ordering is checked across survivors
-  // only, and quarantined events consume no obfuscation draws).
+  // Poison pre-scan, one for both policies: the cause of every event the
+  // loop cannot process. kFail refuses the run at the first one, naming
+  // its index and cause. kQuarantine marks each one with its cause, and
+  // the surviving events behave exactly as if the trace never contained
+  // the poison (time ordering is checked across survivors only, and
+  // quarantined events consume no obfuscation draws).
   std::vector<uint8_t> poison;
   std::vector<std::string> poison_cause;
-  if (!quarantining) {
-    for (size_t i = 0; i < n; ++i) {
-      if (!std::isfinite(trace.events[i].time)) {
-        return Status::InvalidArgument("event times must be finite (event " +
-                                       std::to_string(i) + ")");
-      }
-      if (i > 0 && trace.events[i].time < trace.events[i - 1].time) {
-        return Status::InvalidArgument(
-            "events must be in nondecreasing time order (event " +
-            std::to_string(i) + ")");
-      }
-    }
-  } else {
+  if (quarantining) {
     poison.assign(n, 0);
     poison_cause.resize(n);
+  }
+  {
     double last_time = 0.0;
     bool have_last = false;
     for (size_t i = 0; i < n; ++i) {
       const TimedEvent& event = trace.events[i];
-      std::string cause;
+      const char* cause = nullptr;
       if (!std::isfinite(event.time)) {
         cause = "non-finite event time";
       } else if (have_last && event.time < last_time) {
@@ -137,12 +127,15 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
                   !std::isfinite(event.location.y))) {
         cause = "non-finite location coordinates";
       }
-      if (!cause.empty()) {
-        poison[i] = 1;
-        poison_cause[i] = std::move(cause);
-      } else {
+      if (cause == nullptr) {
         last_time = event.time;
         have_last = true;
+      } else if (!quarantining) {
+        return Status::InvalidArgument("poison event " + std::to_string(i) +
+                                       ": " + cause);
+      } else {
+        poison[i] = 1;
+        poison_cause[i] = cause;
       }
     }
   }
@@ -189,12 +182,6 @@ Result<ReplayReport> RunEventReplay(const TbfFramework& framework,
   }
   report.events = n;
   report.task_outcomes.resize(report.task_arrivals);
-  if (trace.events.empty() && !options.resume_from_checkpoint && !durable) {
-    report.available_workers_end = 0;
-    if (options.export_final_state) report.final_state = server->ExportState();
-    return report;
-  }
-
   // Epoch of every event, resolved up front: survivors by event time
   // relative to the first survivor, poison events by the window that is
   // open where they sit in the trace (so quarantine lands in a

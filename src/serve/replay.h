@@ -50,8 +50,8 @@ namespace tbf {
 /// fields the loop cannot process (non-finite time or coordinates, time
 /// regression, empty id).
 enum class PoisonPolicy {
-  /// Abort the run with InvalidArgument on the first poison event
-  /// (historical behavior, the default).
+  /// Abort the run with InvalidArgument on the first poison event,
+  /// naming its index and cause (the default).
   kFail,
   /// Quarantine it: record (event index, id, cause) in
   /// ReplayReport::quarantined_events, count it, and continue
@@ -87,8 +87,8 @@ struct ReplayOptions {
   /// shard, concurrently (tasks by home shard; a worker's events all
   /// share one lane so their relative order holds). When false, events
   /// are dispatched one by one in event order — fully deterministic, and
-  /// with canonical tie-breaking draw-for-draw identical to feeding a
-  /// single TbfServer.
+  /// with canonical tie-breaking draw-for-draw identical to feeding one
+  /// single-index engine in event order, whatever num_shards is.
   bool parallel_dispatch = false;
 
   /// Per-user budget caps (see ShardedServerOptions). When either is set,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -77,10 +78,12 @@ Result<std::unique_ptr<ShardedTbfServer>> ShardedTbfServer::Create(
     std::shared_ptr<const CompleteHst> tree,
     const ShardedServerOptions& options) {
   if (tree == nullptr) return Status::InvalidArgument("tree must not be null");
-  if (options.lifetime_budget && *options.lifetime_budget <= 0.0) {
+  // `!(cap > 0)` rather than `cap <= 0`: NaN fails every comparison, so
+  // only this form refuses it.
+  if (options.lifetime_budget && !(*options.lifetime_budget > 0.0)) {
     return Status::InvalidArgument("lifetime budget must be positive");
   }
-  if (options.epoch_budget && *options.epoch_budget <= 0.0) {
+  if (options.epoch_budget && !(*options.epoch_budget > 0.0)) {
     return Status::InvalidArgument("epoch budget must be positive");
   }
   if (!ShardRouter::Fits(tree->depth(), tree->arity(), options.num_shards)) {
@@ -116,10 +119,11 @@ ShardedTbfServer::ShardedTbfServer(std::shared_ptr<const CompleteHst> tree,
   metrics_ = options.metrics != nullptr ? options.metrics
                                         : obs::MetricRegistry::Global();
   if (options_.epoch_budget || options_.lifetime_budget) {
-    // Without an explicit epoch cap the per-epoch constraint must never
-    // bind on its own; a cap equal to the lifetime cap is implied by it.
-    const double epoch_cap =
-        options_.epoch_budget.value_or(*options_.lifetime_budget);
+    // Without an explicit epoch cap the per-epoch constraint never binds,
+    // so a lifetime-only engine attributes every refusal to the lifetime
+    // cap.
+    const double epoch_cap = options_.epoch_budget.value_or(
+        std::numeric_limits<double>::infinity());
     ledger_ = std::make_unique<EpochBudgetLedger>(
         epoch_cap, options_.lifetime_budget, metrics_);
   }
@@ -158,6 +162,42 @@ ShardedTbfServer::ShardedTbfServer(std::shared_ptr<const CompleteHst> tree,
   republish_aborted_metric_ =
       metrics_->FindOrCreateCounter("tbf_republish_aborted_total");
   tree_epoch_metric_ = metrics_->FindOrCreateGauge("tbf_serve_tree_epoch");
+}
+
+Status ValidateReportedLeaf(const CompleteHst& tree, const LeafPath& leaf) {
+  if (static_cast<int>(leaf.size()) != tree.depth()) {
+    return Status::InvalidArgument("leaf depth does not match the published tree");
+  }
+  for (char16_t digit : leaf) {
+    if (static_cast<int>(digit) >= tree.arity()) {
+      return Status::InvalidArgument("leaf digit exceeds the published arity");
+    }
+  }
+  return Status::OK();
+}
+
+Status ValidateReportedLeafCode(const CompleteHst& tree, LeafCode code) {
+  const LeafCodec* codec = tree.codec();
+  if (codec == nullptr) {
+    return Status::InvalidArgument(
+        "published tree has no packed-code codec; report a leaf path");
+  }
+  // Bits below the last digit must be zero, or two distinct codes could
+  // name the same leaf and canonical comparisons would drift.
+  const int low = 64 - codec->bits_per_digit() * codec->depth();
+  if (low > 0 && (code & ((uint64_t{1} << low) - 1)) != 0) {
+    return Status::InvalidArgument("leaf code has stray bits below the leaf");
+  }
+  // For power-of-two arity every digit field value is a valid digit;
+  // otherwise each field must be range-checked.
+  if ((tree.arity() & (tree.arity() - 1)) != 0) {
+    for (int j = 0; j < codec->depth(); ++j) {
+      if (codec->Digit(code, j) >= tree.arity()) {
+        return Status::InvalidArgument("leaf code digit exceeds the published arity");
+      }
+    }
+  }
+  return Status::OK();
 }
 
 std::shared_ptr<const CompleteHst> ShardedTbfServer::tree_shared() const {
@@ -354,7 +394,7 @@ std::optional<std::pair<int, int>> ShardedTbfServer::QueryShard(
     int shard, const Key& key) {
   HstAvailabilityIndex& index = shards_[static_cast<size_t>(shard)]->index;
   // K == 1 only (enforced at Create), so the single shard mutex also
-  // serializes rng_ and the draw sequence matches TbfServer's.
+  // serializes rng_ and the draw sequence is one global index's.
   return options_.tie_break == HstTieBreak::kCanonical
              ? index.Nearest(key)
              : index.NearestUniform(key, &rng_);
@@ -520,46 +560,6 @@ Result<DispatchResult> ShardedTbfServer::SubmitTask(
   return SubmitImpl(task_id, code, declared_epsilon);
 }
 
-std::vector<Status> ShardedTbfServer::RegisterWorkers(
-    const std::vector<LeafReport>& batch) {
-  std::vector<Status> statuses;
-  statuses.reserve(batch.size());
-  for (const LeafReport& report : batch) {
-    statuses.push_back(
-        RegisterWorker(report.user_id, report.leaf, report.declared_epsilon));
-  }
-  return statuses;
-}
-
-std::vector<BatchDispatchOutcome> ShardedTbfServer::SubmitTasks(
-    const std::vector<LeafReport>& batch) {
-  std::vector<BatchDispatchOutcome> outcomes;
-  outcomes.reserve(batch.size());
-  for (const LeafReport& report : batch) {
-    BatchDispatchOutcome outcome;
-    Result<DispatchResult> dispatched =
-        SubmitTask(report.user_id, report.leaf, report.declared_epsilon);
-    if (dispatched.ok()) {
-      outcome.result = std::move(dispatched).MoveValueUnsafe();
-    } else {
-      outcome.status = dispatched.status();
-    }
-    outcomes.push_back(std::move(outcome));
-  }
-  return outcomes;
-}
-
-std::vector<Status> ShardedTbfServer::RegisterWorkers(
-    std::span<const LeafCodeReport> batch) {
-  std::vector<Status> statuses;
-  statuses.reserve(batch.size());
-  for (const LeafCodeReport& report : batch) {
-    statuses.push_back(
-        RegisterWorker(report.user_id, report.code, report.declared_epsilon));
-  }
-  return statuses;
-}
-
 namespace {
 
 std::string LeafDigitsOf(const LeafPath& leaf) {
@@ -697,24 +697,6 @@ Status ShardedTbfServer::RestoreState(const ShardedServerState& state) {
     TBF_RETURN_NOT_OK(ledger_->RestoreState(*state.ledger));
   }
   return Status::OK();
-}
-
-std::vector<BatchDispatchOutcome> ShardedTbfServer::SubmitTasks(
-    std::span<const LeafCodeReport> batch) {
-  std::vector<BatchDispatchOutcome> outcomes;
-  outcomes.reserve(batch.size());
-  for (const LeafCodeReport& report : batch) {
-    BatchDispatchOutcome outcome;
-    Result<DispatchResult> dispatched =
-        SubmitTask(report.user_id, report.code, report.declared_epsilon);
-    if (dispatched.ok()) {
-      outcome.result = std::move(dispatched).MoveValueUnsafe();
-    } else {
-      outcome.status = dispatched.status();
-    }
-    outcomes.push_back(std::move(outcome));
-  }
-  return outcomes;
 }
 
 }  // namespace tbf

@@ -1,11 +1,15 @@
-// ShardedTbfServer — the sharded, epoch-aware online serving engine.
+// ShardedTbfServer — the online serving engine: the untrusted server of
+// the paper's interaction model (Sec. II-A). It accepts worker
+// registrations and task submissions as *obfuscated leaves* of the
+// published CompleteHst (it never sees a true location), assigns each
+// task on arrival to the nearest available worker on the tree
+// (HST-Greedy, Alg. 4), and optionally enforces per-user privacy budgets.
 //
-// TbfServer processes one global availability index single-threaded. This
-// engine partitions the leaf space into K spatial shards by leaf-code
+// The engine partitions the leaf space into K spatial shards by leaf-code
 // prefix (serve/shard_router.h); each shard owns its own
 // HstAvailabilityIndex behind its own mutex (a striped lock over the leaf
 // space), so event streams touching different subtrees proceed in
-// parallel.
+// parallel. K = 1 (the default) is one global index.
 //
 // Nearest-worker resolution stays *globally exact*: a task first probes
 // its home shard only, and commits immediately when the candidate's LCA
@@ -15,21 +19,24 @@
 // levels — fan out, locking all shards in ascending order and taking the
 // canonical minimum across the per-shard candidates. Because the
 // canonical order (LCA level, leaf path, index id) is a total order that
-// partitioning preserves, the sharded engine reproduces the single-index
-// engine's choices *exactly*: driven sequentially with canonical
-// tie-breaking, any K produces draw-for-draw the same assignments as
-// TbfServer (enforced by tests/serve/sharded_server_test.cc).
+// partitioning preserves, driven sequentially with canonical
+// tie-breaking any K produces draw-for-draw the same assignments as one
+// global index (enforced against a single-index oracle by
+// tests/serve/sharded_server_test.cc).
 //
-// Shards share one worker registry and one index-id pool (pool_mu_),
-// mirroring TbfServer's id recycling bit for bit — that shared pool is
-// what makes the equivalence hold even through churn, and its critical
-// sections are a few map/vector operations, orders of magnitude cheaper
-// than an index query.
+// Shards share one worker registry and one index-id pool (pool_mu_); ids
+// recycle through one free list, which is what makes the equivalence
+// hold even through churn, and its critical sections are a few
+// map/vector operations, orders of magnitude cheaper than an index query.
 //
-// Epoch budgets: on top of TbfServer's lifetime cap, the engine can
-// rate-limit per-user spend per event-time epoch (EpochBudgetLedger);
-// BeginEpoch rolls accounting forward (the replay loop drives this from
-// event time, serve/replay.h).
+// Worker lifecycle: Register (join the pool / relocate with a fresh
+// report) -> assigned by SubmitTask (leaves the pool; to serve again the
+// worker registers anew, spending budget again) or Unregister (go
+// offline).
+//
+// Budgets: a per-user lifetime cap, a per-user per-epoch cap, or both
+// (EpochBudgetLedger); BeginEpoch rolls accounting forward (the replay
+// loop drives this from event time, serve/replay.h).
 //
 // Lock order (deadlock freedom): budget_mu_ alone; otherwise shard
 // mutexes in ascending shard id, then pool_mu_. Uniform-random
@@ -48,9 +55,10 @@
 
 #include "common/result.h"
 #include "common/rng.h"
-#include "core/server.h"
 #include "hst/complete_hst.h"
 #include "hst/hst_index.h"
+#include "hst/leaf_code.h"
+#include "hst/leaf_path.h"
 #include "obs/metrics.h"
 #include "privacy/budget.h"
 #include "serve/republish.h"
@@ -60,10 +68,10 @@ namespace tbf {
 
 /// \brief Configuration of the sharded serving engine.
 struct ShardedServerOptions {
-  /// Spatial shards (>= 1; at most arity^depth). 1 reproduces TbfServer.
+  /// Spatial shards (>= 1; at most arity^depth). 1 is one global index.
   int num_shards = 1;
 
-  /// Per-user lifetime epsilon cap (TbfServer semantics).
+  /// Per-user lifetime epsilon cap.
   std::optional<double> lifetime_budget;
 
   /// Per-user per-epoch epsilon cap; epochs advance via BeginEpoch. When
@@ -100,6 +108,26 @@ struct ShardedServerOptions {
   obs::MetricRegistry* metrics = nullptr;
 };
 
+/// \brief Result of one task submission.
+struct DispatchResult {
+  /// Registration id of the assigned worker; empty if none was available.
+  std::optional<std::string> worker;
+  /// Tree distance (metric units) between the reported leaves.
+  double reported_tree_distance = 0.0;
+};
+
+/// \brief Depth + digit-range validation of an untrusted client leaf
+/// against a published tree: the flat index would index child tables
+/// with these digits, so out-of-range ones are rejected up front instead
+/// of aborting (or reading out of bounds) deeper down.
+Status ValidateReportedLeaf(const CompleteHst& tree, const LeafPath& leaf);
+
+/// \brief Packed-code variant: rejects codes with stray bits below the
+/// last digit and (for non-power-of-two arity) digit fields >= arity, and
+/// fails outright when the published tree has no packed-code codec. O(1)
+/// for power-of-two arity.
+Status ValidateReportedLeafCode(const CompleteHst& tree, LeafCode code);
+
 /// \brief Full serializable state of a ShardedTbfServer (crash-safe replay
 /// checkpoints). Everything is exported in a deterministic order (workers
 /// sorted by id) so serialization is byte-stable.
@@ -134,14 +162,18 @@ class ShardedTbfServer {
       std::shared_ptr<const CompleteHst> tree,
       const ShardedServerOptions& options = {});
 
-  /// \brief Registers (or relocates) a worker at an obfuscated leaf.
-  /// Budget semantics match TbfServer: the charge happens first, and a
-  /// refused charge leaves any previous registration untouched.
+  /// \brief Registers a worker at an obfuscated leaf, or relocates an
+  /// already-registered worker to a fresh report.
+  ///
+  /// `declared_epsilon` is the budget the client spent producing the
+  /// report; required (and charged per report) when the engine enforces
+  /// budgets. The charge happens first, and a refused charge leaves any
+  /// previous registration untouched.
   Status RegisterWorker(const std::string& worker_id, const LeafPath& leaf,
                         std::optional<double> declared_epsilon = std::nullopt);
 
-  /// \brief Code-native registration (TbfServer contract): the report is
-  /// a packed LeafCode and stays packed through routing, locking and the
+  /// \brief Code-native registration, same semantics: the report is a
+  /// packed LeafCode and stays packed through routing, locking and the
   /// per-shard trie. Fails when the tree has no codec.
   Status RegisterWorker(const std::string& worker_id, LeafCode code,
                         std::optional<double> declared_epsilon = std::nullopt);
@@ -163,19 +195,6 @@ class ShardedTbfServer {
   Result<DispatchResult> SubmitTask(const std::string& task_id, LeafCode code,
                                     std::optional<double> declared_epsilon =
                                         std::nullopt);
-
-  /// \brief Batch wrappers, item semantics identical to the single-call
-  /// API (TbfServer contract). Items are issued sequentially by the
-  /// calling thread; parallelism comes from *concurrent* callers (the
-  /// replay loop drives one caller per shard).
-  std::vector<Status> RegisterWorkers(const std::vector<LeafReport>& batch);
-  std::vector<BatchDispatchOutcome> SubmitTasks(
-      const std::vector<LeafReport>& batch);
-
-  /// \brief Code-native batch spans (pair with ObfuscateCodes).
-  std::vector<Status> RegisterWorkers(std::span<const LeafCodeReport> batch);
-  std::vector<BatchDispatchOutcome> SubmitTasks(
-      std::span<const LeafCodeReport> batch);
 
   /// \brief Rolls per-epoch budget accounting forward to `epoch` (no-op
   /// without an epoch budget; going backwards fails).
@@ -223,9 +242,10 @@ class ShardedTbfServer {
     return assigned_tasks_.load(std::memory_order_relaxed);
   }
 
-  /// \brief Size of the shared index-id pool (bounded by the peak pool
-  /// size, as in TbfServer — ids recycle through one free list across all
-  /// shards).
+  /// \brief Size of the shared index-id pool. Ids are recycled on every
+  /// removal path (assignment, unregister, relocation) through one free
+  /// list across all shards, so this stays bounded by the peak number of
+  /// concurrently registered workers, not by total registrations ever.
   size_t index_id_pool_size() const;
 
   /// Workers currently held by shard `shard` (monitoring).
@@ -306,7 +326,7 @@ class ShardedTbfServer {
   Status ChargeIfRequired(const std::string& user,
                           std::optional<double> declared_epsilon);
 
-  // Shared id pool, guarded by pool_mu_ (TbfServer's exact recycling).
+  // Shared id pool, guarded by pool_mu_.
   int AcquireIndexId(const std::string& worker_id);
   void ReleaseIndexId(int index_id);
 

@@ -3,12 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <string>
 
 #include "common/thread_pool.h"
-#include "core/server.h"
 #include "geo/grid.h"
+#include "oracle/single_index_server.h"
 #include "serve/checkpoint.h"
 #include "workload/synthetic.h"
 #include "workload/trace.h"
@@ -53,17 +54,50 @@ TEST(ReplayTest, ValidatesInput) {
   std::swap(unsorted.events.front().time, unsorted.events.back().time);
   EXPECT_FALSE(RunEventReplay(framework, unsorted, ReplayOptions{}).ok());
 
+  // Under the default kFail policy every poison event refuses the run,
+  // naming the event and its cause, instead of reaching the engine.
+  const auto poisoned = [&](size_t index, auto mutate) {
+    EventTrace bad = trace;
+    mutate(&bad.events[index]);
+    return RunEventReplay(framework, bad, ReplayOptions{}).status();
+  };
+  size_t arrival = 0;
+  while (trace.events[arrival].kind != EventKind::kWorkerArrival) ++arrival;
+  const std::string at = "poison event " + std::to_string(arrival) + ": ";
+  Status nan_x = poisoned(arrival, [](TimedEvent* event) {
+    event->location.x = std::numeric_limits<double>::quiet_NaN();
+  });
+  EXPECT_EQ(nan_x.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(nan_x.message(), at + "non-finite location coordinates");
+  Status inf_x = poisoned(arrival, [](TimedEvent* event) {
+    event->location.x = std::numeric_limits<double>::infinity();
+  });
+  EXPECT_EQ(inf_x.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(inf_x.message(), at + "non-finite location coordinates");
+  Status no_id = poisoned(arrival, [](TimedEvent* event) { event->id.clear(); });
+  EXPECT_EQ(no_id.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(no_id.message(), at + "empty event id");
+
+  // An empty trace reports like any other run: every shard and the
+  // run's metrics are present, just zero.
   EventTrace empty;
   empty.region = trace.region;
-  auto report = RunEventReplay(framework, empty, ReplayOptions{});
+  ReplayOptions sharded;
+  sharded.num_shards = 4;
+  sharded.lifetime_budget = 1.0;
+  auto report = RunEventReplay(framework, empty, sharded);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->events, 0u);
   EXPECT_EQ(report->epochs, 0u);
+  EXPECT_EQ(report->per_shard.size(),
+            static_cast<size_t>(sharded.num_shards));
+  EXPECT_EQ(report->epsilon_spent, 0.0);
 }
 
 // The replay loop applied sequentially must reproduce, event for event,
-// what a hand-driven TbfServer sees when fed the same obfuscated reports:
-// the loop only adds epoching and sharding around the same online process.
+// what the hand-driven single-index oracle sees when fed the same
+// obfuscated reports: the loop only adds epoching and sharding around the
+// same online process.
 TEST(ReplayTest, SequentialReplayMatchesDirectServerDrive) {
   TbfFramework framework = BuildFramework();
   EventTrace trace = SmallTrace(100, 60, 0.15);
@@ -77,8 +111,8 @@ TEST(ReplayTest, SequentialReplayMatchesDirectServerDrive) {
   auto report = RunEventReplay(framework, trace, options);
   ASSERT_TRUE(report.ok());
 
-  // Hand-drive a plain TbfServer with the identical report stream.
-  auto server = TbfServer::Create(framework.tree_ptr());
+  // Hand-drive the single-index oracle with the identical report stream.
+  auto server = SingleIndexServer::Create(framework.tree_ptr());
   ASSERT_TRUE(server.ok());
   ThreadPool pool(1);
   const Rng stream(options.obfuscation_seed);

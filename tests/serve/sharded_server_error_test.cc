@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "core/server.h"
 #include "geo/grid.h"
 
 namespace tbf {

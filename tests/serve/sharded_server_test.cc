@@ -4,13 +4,14 @@
 
 #include <atomic>
 #include <barrier>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/server.h"
 #include "geo/grid.h"
+#include "oracle/single_index_server.h"
 
 namespace tbf {
 namespace {
@@ -34,6 +35,15 @@ TEST(ShardedServerTest, CreateValidates) {
   bad_budget.lifetime_budget = std::nullopt;
   bad_budget.epoch_budget = -1.0;
   EXPECT_FALSE(ShardedTbfServer::Create(tree, bad_budget).ok());
+  // NaN passes `cap <= 0`; it must be refused, not reach the ledger.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  bad_budget.epoch_budget = nan;
+  EXPECT_EQ(ShardedTbfServer::Create(tree, bad_budget).status().code(),
+            StatusCode::kInvalidArgument);
+  bad_budget.epoch_budget = std::nullopt;
+  bad_budget.lifetime_budget = nan;
+  EXPECT_EQ(ShardedTbfServer::Create(tree, bad_budget).status().code(),
+            StatusCode::kInvalidArgument);
 
   ShardedServerOptions bad_shards;
   bad_shards.num_shards = 0;
@@ -54,18 +64,18 @@ TEST(ShardedServerTest, CreateValidates) {
 }
 
 // Replays an identical randomized churn script (registrations,
-// relocations, departures, submissions — budgeted or not) into a plain
-// TbfServer and a ShardedTbfServer, asserting draw-for-draw identical
+// relocations, departures, submissions — budgeted or not) into the
+// single-index oracle and a ShardedTbfServer, asserting draw-for-draw identical
 // behavior at every step. This is the golden equivalence contract: the
 // sharded engine is an implementation strategy, not a semantics change.
 void RunGoldenChurn(int num_shards, HstTieBreak tie_break,
                     std::optional<double> lifetime_budget, uint64_t seed) {
   auto tree = BuildTree();
-  TbfServerOptions single_options;
+  SingleIndexServerOptions single_options;
   single_options.tie_break = tie_break;
   single_options.seed = 99;
   single_options.lifetime_budget = lifetime_budget;
-  auto single = TbfServer::Create(tree, single_options);
+  auto single = SingleIndexServer::Create(tree, single_options);
   ASSERT_TRUE(single.ok());
 
   ShardedServerOptions sharded_options;
@@ -120,7 +130,7 @@ void RunGoldenChurn(int num_shards, HstTieBreak tie_break,
     ASSERT_EQ((*single).available_workers(), (*sharded)->available_workers())
         << "step " << step;
     ASSERT_EQ((*single).assigned_tasks(), (*sharded)->assigned_tasks());
-    // The shared id pool recycles exactly like TbfServer's.
+    // The shared id pool recycles exactly like the oracle's.
     ASSERT_EQ((*single).index_id_pool_size(), (*sharded)->index_id_pool_size());
   }
   // The workers remaining available agree one by one.
@@ -135,7 +145,7 @@ TEST(ShardedServerTest, GoldenEquivalenceSingleShard) {
 
 TEST(ShardedServerTest, GoldenEquivalenceSingleShardUniformTieBreak) {
   // Uniform-random tie-breaking draws from the engine rng; at K = 1 the
-  // draw sequence must match TbfServer's exactly.
+  // draw sequence must match the oracle's exactly.
   RunGoldenChurn(1, HstTieBreak::kUniformRandom, std::nullopt, 6);
 }
 
@@ -151,14 +161,14 @@ TEST(ShardedServerTest, GoldenEquivalenceManyShardsWithBudgets) {
 }
 
 TEST(ShardedServerTest, CodeEntryPointIsGoldenEquivalentAcrossShards) {
-  // Same churn script, the single server fed LeafPaths and the sharded
+  // Same churn script, the path-only oracle fed LeafPaths and the sharded
   // engine fed packed LeafCodes: the entry representation must not change
-  // one assignment (the path API packs at the boundary, so both run the
-  // identical code-native engine — this pins that equivalence down).
+  // one assignment (unsigned code order is lexicographic digit order, so
+  // the packed engine and the path index agree — this pins that down).
   auto tree = BuildTree();
   const LeafCodec* codec = tree->codec();
   ASSERT_NE(codec, nullptr);
-  auto single = TbfServer::Create(tree);
+  auto single = SingleIndexServer::Create(tree);
   ASSERT_TRUE(single.ok());
   ShardedServerOptions options;
   options.num_shards = 4;
@@ -198,7 +208,7 @@ TEST(ShardedServerTest, CrossShardResolutionFindsTheGlobalNearest) {
   options.num_shards = tree->arity();  // prefix_depth == 1: shard == digit 0
   auto server = ShardedTbfServer::Create(tree, options);
   ASSERT_TRUE(server.ok());
-  auto single = TbfServer::Create(tree);
+  auto single = SingleIndexServer::Create(tree);
   ASSERT_TRUE(single.ok());
 
   const int depth = tree->depth();
@@ -274,6 +284,36 @@ TEST(ShardedServerTest, EpochBudgetRollsOverPerUser) {
   // Reports must declare an epsilon under enforcement.
   EXPECT_EQ((*server)->RegisterWorker("x", leaf).code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(ShardedServerTest, LifetimeOnlyRefusalIsALifetimeDenial) {
+  // With no epoch cap the per-epoch constraint never binds: running out
+  // of a lifetime-only budget is reported, counted and exported as a
+  // lifetime denial.
+  auto tree = BuildTree();
+  obs::MetricRegistry registry;
+  ShardedServerOptions options;
+  options.lifetime_budget = 1.0;
+  options.metrics = &registry;
+  auto server = ShardedTbfServer::Create(tree, options);
+  ASSERT_TRUE(server.ok());
+  const LeafPath leaf = tree->leaf_of_point(0);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE((*server)->RegisterWorker("u", leaf, 0.3).ok()) << i;
+  }
+  const Status refused = (*server)->RegisterWorker("u", leaf, 0.3);
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(refused.message(), "lifetime budget exhausted for user u");
+  const EpochBudgetLedger::Totals& totals = (*server)->ledger()->totals();
+  EXPECT_EQ(totals.denied_lifetime, 1u);
+  EXPECT_EQ(totals.denied_epoch, 0u);
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.CounterValue(obs::LabeledName(
+                "tbf_privacy_denials_total", "cause", "lifetime")),
+            1.0);
+  EXPECT_EQ(snapshot.CounterValue(obs::LabeledName(
+                "tbf_privacy_denials_total", "cause", "epoch")),
+            0.0);
 }
 
 TEST(ShardedServerTest, RejectsInvalidLeaves) {

@@ -1,9 +1,17 @@
-#include "core/server.h"
+// The serving engine in its default configuration (one shard, one
+// global index): lifecycle, budgets, tie-breaking and input validation.
+// The suite keeps the name of the single-index server it used to test;
+// tests/serve/sharded_server_test.cc covers K > 1 and the golden
+// equivalence with the single-index oracle.
+
+#include "serve/sharded_server.h"
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
+#include "core/hst_mechanism.h"
 #include "geo/grid.h"
 
 namespace tbf {
@@ -18,18 +26,26 @@ std::shared_ptr<const CompleteHst> BuildTree(uint64_t seed = 3) {
   return std::make_shared<const CompleteHst>(std::move(tree).MoveValueUnsafe());
 }
 
+std::unique_ptr<ShardedTbfServer> MakeServer(
+    std::shared_ptr<const CompleteHst> tree,
+    const ShardedServerOptions& options = {}) {
+  auto server = ShardedTbfServer::Create(std::move(tree), options);
+  EXPECT_TRUE(server.ok()) << server.status();
+  return server.ok() ? std::move(server).MoveValueUnsafe() : nullptr;
+}
+
 TEST(TbfServerTest, CreateValidates) {
-  EXPECT_FALSE(TbfServer::Create(nullptr).ok());
-  TbfServerOptions bad;
+  EXPECT_FALSE(ShardedTbfServer::Create(nullptr).ok());
+  ShardedServerOptions bad;
   bad.lifetime_budget = 0.0;
-  EXPECT_FALSE(TbfServer::Create(BuildTree(), bad).ok());
-  EXPECT_TRUE(TbfServer::Create(BuildTree()).ok());
+  EXPECT_FALSE(ShardedTbfServer::Create(BuildTree(), bad).ok());
+  EXPECT_TRUE(ShardedTbfServer::Create(BuildTree()).ok());
 }
 
 TEST(TbfServerTest, RegisterSubmitLifecycle) {
   auto tree = BuildTree();
-  auto server = TbfServer::Create(tree);
-  ASSERT_TRUE(server.ok());
+  auto server = MakeServer(tree);
+  ASSERT_NE(server, nullptr);
   ASSERT_TRUE(server->RegisterWorker("w1", tree->leaf_of_point(0)).ok());
   ASSERT_TRUE(server->RegisterWorker("w2", tree->leaf_of_point(20)).ok());
   EXPECT_EQ(server->available_workers(), 2u);
@@ -54,8 +70,8 @@ TEST(TbfServerTest, RegisterSubmitLifecycle) {
 
 TEST(TbfServerTest, IndexIdsAreRecycledAcrossAssignmentChurn) {
   auto tree = BuildTree();
-  auto server = TbfServer::Create(tree);
-  ASSERT_TRUE(server.ok());
+  auto server = MakeServer(tree);
+  ASSERT_NE(server, nullptr);
   for (int round = 0; round < 50; ++round) {
     ASSERT_TRUE(server->RegisterWorker("a", tree->leaf_of_point(0)).ok());
     ASSERT_TRUE(server->RegisterWorker("b", tree->leaf_of_point(20)).ok());
@@ -74,8 +90,8 @@ TEST(TbfServerTest, IndexIdsAreRecycledAcrossAssignmentChurn) {
 
 TEST(TbfServerTest, ReportedTreeDistanceMatchesLeaves) {
   auto tree = BuildTree();
-  auto server = TbfServer::Create(tree);
-  ASSERT_TRUE(server.ok());
+  auto server = MakeServer(tree);
+  ASSERT_NE(server, nullptr);
   ASSERT_TRUE(server->RegisterWorker("w", tree->leaf_of_point(5)).ok());
   LeafPath task_leaf = tree->leaf_of_point(30);
   auto dispatch = server->SubmitTask("t", task_leaf);
@@ -86,8 +102,8 @@ TEST(TbfServerTest, ReportedTreeDistanceMatchesLeaves) {
 
 TEST(TbfServerTest, RelocationMovesReport) {
   auto tree = BuildTree();
-  auto server = TbfServer::Create(tree);
-  ASSERT_TRUE(server.ok());
+  auto server = MakeServer(tree);
+  ASSERT_NE(server, nullptr);
   ASSERT_TRUE(server->RegisterWorker("w", tree->leaf_of_point(0)).ok());
   // Relocate to the far corner.
   ASSERT_TRUE(server->RegisterWorker("w", tree->leaf_of_point(35)).ok());
@@ -99,8 +115,8 @@ TEST(TbfServerTest, RelocationMovesReport) {
 
 TEST(TbfServerTest, UnregisterRemoves) {
   auto tree = BuildTree();
-  auto server = TbfServer::Create(tree);
-  ASSERT_TRUE(server.ok());
+  auto server = MakeServer(tree);
+  ASSERT_NE(server, nullptr);
   ASSERT_TRUE(server->RegisterWorker("w", tree->leaf_of_point(0)).ok());
   ASSERT_TRUE(server->UnregisterWorker("w").ok());
   EXPECT_EQ(server->available_workers(), 0u);
@@ -109,8 +125,8 @@ TEST(TbfServerTest, UnregisterRemoves) {
 
 TEST(TbfServerTest, RejectsWrongDepthLeaves) {
   auto tree = BuildTree();
-  auto server = TbfServer::Create(tree);
-  ASSERT_TRUE(server.ok());
+  auto server = MakeServer(tree);
+  ASSERT_NE(server, nullptr);
   LeafPath bad;
   bad.push_back(0);
   EXPECT_FALSE(server->RegisterWorker("w", bad).ok());
@@ -119,10 +135,10 @@ TEST(TbfServerTest, RejectsWrongDepthLeaves) {
 
 TEST(TbfServerTest, BudgetEnforcement) {
   auto tree = BuildTree();
-  TbfServerOptions options;
+  ShardedServerOptions options;
   options.lifetime_budget = 0.5;
-  auto server = TbfServer::Create(tree, options);
-  ASSERT_TRUE(server.ok());
+  auto server = MakeServer(tree, options);
+  ASSERT_NE(server, nullptr);
   ASSERT_NE(server->ledger(), nullptr);
 
   // Must declare epsilon under enforcement.
@@ -143,10 +159,10 @@ TEST(TbfServerTest, BudgetEnforcement) {
 
 TEST(TbfServerTest, TasksSpendBudgetToo) {
   auto tree = BuildTree();
-  TbfServerOptions options;
+  ShardedServerOptions options;
   options.lifetime_budget = 0.3;
-  auto server = TbfServer::Create(tree, options);
-  ASSERT_TRUE(server.ok());
+  auto server = MakeServer(tree, options);
+  ASSERT_NE(server, nullptr);
   ASSERT_TRUE(server->RegisterWorker("w", tree->leaf_of_point(0), 0.3).ok());
   EXPECT_TRUE(server->SubmitTask("rider", tree->leaf_of_point(0), 0.3).ok());
   // Same task id again: budget gone.
@@ -156,11 +172,11 @@ TEST(TbfServerTest, TasksSpendBudgetToo) {
 
 TEST(TbfServerTest, RandomTieBreakStillNearest) {
   auto tree = BuildTree();
-  TbfServerOptions options;
+  ShardedServerOptions options;
   options.tie_break = HstTieBreak::kUniformRandom;
   options.seed = 9;
-  auto server = TbfServer::Create(tree, options);
-  ASSERT_TRUE(server.ok());
+  auto server = MakeServer(tree, options);
+  ASSERT_NE(server, nullptr);
   // Two co-located workers, one far: dispatch must pick a co-located one.
   ASSERT_TRUE(server->RegisterWorker("near1", tree->leaf_of_point(7)).ok());
   ASSERT_TRUE(server->RegisterWorker("near2", tree->leaf_of_point(7)).ok());
@@ -175,11 +191,11 @@ TEST(TbfServerTest, RandomTieBreakIsUniformAcrossRuns) {
   auto tree = BuildTree();
   std::map<std::string, int> counts;
   for (uint64_t seed = 0; seed < 2000; ++seed) {
-    TbfServerOptions options;
+    ShardedServerOptions options;
     options.tie_break = HstTieBreak::kUniformRandom;
     options.seed = seed;
-    auto server = TbfServer::Create(tree, options);
-    ASSERT_TRUE(server.ok());
+    auto server = MakeServer(tree, options);
+    ASSERT_NE(server, nullptr);
     ASSERT_TRUE(server->RegisterWorker("a", tree->leaf_of_point(7)).ok());
     ASSERT_TRUE(server->RegisterWorker("b", tree->leaf_of_point(7)).ok());
     auto dispatch = server->SubmitTask("t", tree->leaf_of_point(7));
@@ -196,8 +212,8 @@ TEST(TbfServerTest, EndToEndWithMechanism) {
   auto mechanism_result = HstMechanism::Build(*tree, 0.4);
   ASSERT_TRUE(mechanism_result.ok());
   const HstMechanism& mechanism = *mechanism_result;
-  auto server = TbfServer::Create(tree);
-  ASSERT_TRUE(server.ok());
+  auto server = MakeServer(tree);
+  ASSERT_NE(server, nullptr);
 
   Rng rng(21);
   for (int w = 0; w < 20; ++w) {
@@ -221,52 +237,12 @@ TEST(TbfServerTest, EndToEndWithMechanism) {
   EXPECT_EQ(server->available_workers(), 10u);
 }
 
-TEST(TbfServerTest, BatchRegisterAndSubmitMatchSingleCalls) {
-  auto tree = BuildTree();
-  auto batch_server = TbfServer::Create(tree);
-  auto single_server = TbfServer::Create(tree);
-  ASSERT_TRUE(batch_server.ok());
-  ASSERT_TRUE(single_server.ok());
-
-  std::vector<LeafReport> workers;
-  for (int w = 0; w < 12; ++w) {
-    workers.push_back({"w" + std::to_string(w), tree->leaf_of_point(w * 3), {}});
-  }
-  std::vector<Status> statuses = batch_server->RegisterWorkers(workers);
-  ASSERT_EQ(statuses.size(), workers.size());
-  for (size_t i = 0; i < workers.size(); ++i) {
-    EXPECT_TRUE(statuses[i].ok()) << i;
-    EXPECT_TRUE(single_server
-                    ->RegisterWorker(workers[i].user_id, workers[i].leaf)
-                    .ok());
-  }
-  EXPECT_EQ(batch_server->available_workers(), workers.size());
-
-  std::vector<LeafReport> tasks;
-  for (int t = 0; t < 6; ++t) {
-    tasks.push_back({"t" + std::to_string(t), tree->leaf_of_point(t * 5 + 1), {}});
-  }
-  std::vector<BatchDispatchOutcome> outcomes = batch_server->SubmitTasks(tasks);
-  ASSERT_EQ(outcomes.size(), tasks.size());
-  for (size_t t = 0; t < tasks.size(); ++t) {
-    ASSERT_TRUE(outcomes[t].status.ok()) << t;
-    auto expected = single_server->SubmitTask(tasks[t].user_id, tasks[t].leaf);
-    ASSERT_TRUE(expected.ok());
-    // Batch submission is the same online process: identical assignment
-    // sequence and reported distances.
-    EXPECT_EQ(outcomes[t].result.worker, expected->worker) << t;
-    EXPECT_DOUBLE_EQ(outcomes[t].result.reported_tree_distance,
-                     expected->reported_tree_distance);
-  }
-  EXPECT_EQ(batch_server->assigned_tasks(), single_server->assigned_tasks());
-}
-
 TEST(TbfServerTest, RejectsOutOfRangeDigits) {
   // Untrusted client input: right depth, digits beyond the published
   // arity. Must be refused cleanly, not abort or corrupt the index.
   auto tree = BuildTree();
-  auto server = TbfServer::Create(tree);
-  ASSERT_TRUE(server.ok());
+  auto server = MakeServer(tree);
+  ASSERT_NE(server, nullptr);
   LeafPath bogus(static_cast<size_t>(tree->depth()),
                  static_cast<char16_t>(tree->arity()));
   EXPECT_FALSE(server->RegisterWorker("evil", bogus).ok());
@@ -284,10 +260,10 @@ TEST(TbfServerTest, CodeApiMatchesPathApiThroughChurn) {
   auto tree = BuildTree();
   const LeafCodec* codec = tree->codec();
   ASSERT_NE(codec, nullptr);
-  auto by_path = TbfServer::Create(tree);
-  auto by_code = TbfServer::Create(tree);
-  ASSERT_TRUE(by_path.ok());
-  ASSERT_TRUE(by_code.ok());
+  auto by_path = MakeServer(tree);
+  auto by_code = MakeServer(tree);
+  ASSERT_NE(by_path, nullptr);
+  ASSERT_NE(by_code, nullptr);
 
   Rng rng(31);
   const int points = tree->num_points();
@@ -314,54 +290,12 @@ TEST(TbfServerTest, CodeApiMatchesPathApiThroughChurn) {
   }
 }
 
-TEST(TbfServerTest, CodeBatchSpansMatchPathBatches) {
-  auto tree = BuildTree();
-  const LeafCodec* codec = tree->codec();
-  ASSERT_NE(codec, nullptr);
-  auto by_path = TbfServer::Create(tree);
-  auto by_code = TbfServer::Create(tree);
-  ASSERT_TRUE(by_path.ok());
-  ASSERT_TRUE(by_code.ok());
-
-  std::vector<LeafReport> path_workers;
-  std::vector<LeafCodeReport> code_workers;
-  for (int i = 0; i < 12; ++i) {
-    const LeafPath& leaf = tree->leaf_of_point(3 * i);
-    path_workers.push_back({"w" + std::to_string(i), leaf, std::nullopt});
-    code_workers.push_back(
-        {"w" + std::to_string(i), codec->Pack(leaf), std::nullopt});
-  }
-  auto path_statuses = by_path->RegisterWorkers(path_workers);
-  auto code_statuses = by_code->RegisterWorkers(code_workers);
-  ASSERT_EQ(path_statuses.size(), code_statuses.size());
-  for (size_t i = 0; i < path_statuses.size(); ++i) {
-    EXPECT_EQ(path_statuses[i].ok(), code_statuses[i].ok()) << i;
-  }
-
-  std::vector<LeafReport> path_tasks;
-  std::vector<LeafCodeReport> code_tasks;
-  for (int i = 0; i < 8; ++i) {
-    const LeafPath& leaf =
-        tree->leaf_of_point((5 * i + 1) % tree->num_points());
-    path_tasks.push_back({"t" + std::to_string(i), leaf, std::nullopt});
-    code_tasks.push_back(
-        {"t" + std::to_string(i), codec->Pack(leaf), std::nullopt});
-  }
-  auto path_outcomes = by_path->SubmitTasks(path_tasks);
-  auto code_outcomes = by_code->SubmitTasks(code_tasks);
-  ASSERT_EQ(path_outcomes.size(), code_outcomes.size());
-  for (size_t i = 0; i < path_outcomes.size(); ++i) {
-    EXPECT_EQ(path_outcomes[i].result.worker, code_outcomes[i].result.worker)
-        << i;
-  }
-}
-
 TEST(TbfServerTest, RejectsMalformedLeafCodes) {
   auto tree = BuildTree();
   const LeafCodec* codec = tree->codec();
   ASSERT_NE(codec, nullptr);
-  auto server = TbfServer::Create(tree);
-  ASSERT_TRUE(server.ok());
+  auto server = MakeServer(tree);
+  ASSERT_NE(server, nullptr);
   const LeafCode good = codec->Pack(tree->leaf_of_point(0));
   ASSERT_TRUE(ValidateReportedLeafCode(*tree, good).ok());
 
@@ -376,31 +310,6 @@ TEST(TbfServerTest, RejectsMalformedLeafCodes) {
     const LeafCode bad = codec->WithDigit(good, 0, tree->arity());
     EXPECT_FALSE(server->RegisterWorker("w", bad).ok());
   }
-}
-
-TEST(TbfServerTest, BatchRegisterSkipsOnlyFailedItems) {
-  auto tree = BuildTree();
-  TbfServerOptions options;
-  options.lifetime_budget = 1.0;
-  auto server = TbfServer::Create(tree, options);
-  ASSERT_TRUE(server.ok());
-
-  std::vector<LeafReport> batch;
-  batch.push_back({"a", tree->leaf_of_point(0), 0.5});
-  batch.push_back({"b", tree->leaf_of_point(1), std::nullopt});  // no epsilon
-  batch.push_back({"c", LeafPath({0}), 0.5});                    // bad depth
-  batch.push_back({"d", tree->leaf_of_point(2), 0.5});
-  std::vector<Status> statuses = server->RegisterWorkers(batch);
-  ASSERT_EQ(statuses.size(), 4u);
-  EXPECT_TRUE(statuses[0].ok());
-  EXPECT_FALSE(statuses[1].ok());
-  EXPECT_FALSE(statuses[2].ok());
-  EXPECT_TRUE(statuses[3].ok());
-  EXPECT_EQ(server->available_workers(), 2u);
-  EXPECT_TRUE(server->IsRegistered("a"));
-  EXPECT_FALSE(server->IsRegistered("b"));
-  EXPECT_FALSE(server->IsRegistered("c"));
-  EXPECT_TRUE(server->IsRegistered("d"));
 }
 
 }  // namespace
